@@ -43,8 +43,8 @@ cmp "$WORK/ref.r" "$WORK/cold.r" ||
 rm -f "$WORK/cold.m" "$WORK/cold.m.timing.json"
 WARM_OUT=$("$SWEEP" grid $ARGS cache="$WORK/store1" manifest="$WORK/warm1.m" \
     report="$WORK/warm1.r")
-echo "$WARM_OUT" | grep -q "cache: 6 hits" ||
-    { echo "cache_smoke: warm run did not serve all 6 points" >&2; exit 1; }
+echo "$WARM_OUT" | grep -q "cache: 9 hits" ||
+    { echo "cache_smoke: warm run did not serve all 9 points" >&2; exit 1; }
 cmp "$WORK/ref.r" "$WORK/warm1.r" ||
     { echo "cache_smoke: warm jobs=1 report differs" >&2; exit 1; }
 "$SWEEP" grid $ARGS cache="$WORK/store1" manifest="$WORK/warm4.m" \
@@ -53,7 +53,7 @@ cmp "$WORK/ref.r" "$WORK/warm4.r" ||
     { echo "cache_smoke: warm jobs=4 report differs" >&2; exit 1; }
 cmp "$WORK/warm1.m" "$WORK/warm4.m" ||
     { echo "cache_smoke: warm manifests differ across pool widths" >&2; exit 1; }
-echo "  all 6 points served from cache; reports byte-identical at both widths"
+echo "  all 9 points served from cache; reports byte-identical at both widths"
 
 echo "== cache 2: SIGKILL while populating never tears an entry =="
 for DELAY in 0.05 0.10 0.15 0.20 0.30 0.45; do

@@ -80,10 +80,6 @@ echo "== parallel sweep smoke (jobs=N determinism + worker loss, see docs/perfor
 scripts/parallel_sweep_smoke.sh build > /dev/null
 echo "  parallel sweep smoke ok"
 
-echo "== serve smoke (sweep daemon kill/restart + queue faults, see docs/robustness.md) =="
-scripts/serve_smoke.sh build > /dev/null
-echo "  serve smoke ok"
-
 echo "== sweep scaling (wall-clock at jobs=1/2/4 -> BENCH_sweep.json) =="
 python3 scripts/check_sweep_scaling.py build --out /tmp/BENCH_sweep.json
 rm -f /tmp/BENCH_sweep.json

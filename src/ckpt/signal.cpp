@@ -1,23 +1,12 @@
 #include "ckpt/signal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 namespace memsched::ckpt {
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
-int g_pipe[2] = {-1, -1};
 
-void on_stop_signal(int /*signo*/) {
-  g_stop = 1;
-  if (g_pipe[1] >= 0) {
-    const char b = 1;
-    // Best effort: a full pipe just means earlier signals are still pending.
-    [[maybe_unused]] const ssize_t n = ::write(g_pipe[1], &b, 1);
-  }
-}
+void on_stop_signal(int /*signo*/) { g_stop = 1; }
 
 }  // namespace
 
@@ -25,12 +14,6 @@ void install_stop_handlers() {
   static bool installed = false;
   if (installed) return;
   installed = true;
-  if (::pipe(g_pipe) == 0) {
-    ::fcntl(g_pipe[0], F_SETFL, O_NONBLOCK);
-    ::fcntl(g_pipe[1], F_SETFL, O_NONBLOCK);
-    ::fcntl(g_pipe[0], F_SETFD, FD_CLOEXEC);
-    ::fcntl(g_pipe[1], F_SETFD, FD_CLOEXEC);
-  }
   struct sigaction sa = {};
   sa.sa_handler = on_stop_signal;
   ::sigemptyset(&sa.sa_mask);
@@ -43,15 +26,6 @@ const volatile std::sig_atomic_t& stop_flag() { return g_stop; }
 
 bool stop_requested() { return g_stop != 0; }
 
-int stop_pipe_fd() { return g_pipe[0]; }
-
-void reset_stop_for_tests() {
-  g_stop = 0;
-  if (g_pipe[0] >= 0) {
-    char buf[16];
-    while (::read(g_pipe[0], buf, sizeof(buf)) > 0) {
-    }
-  }
-}
+void reset_stop_for_tests() { g_stop = 0; }
 
 }  // namespace memsched::ckpt

@@ -1,8 +1,7 @@
 // Cooperative stop signal plumbing for SIGTERM/SIGINT.
 //
-// The handler only sets a sig_atomic_t flag and writes one byte to a
-// self-pipe (both async-signal-safe); the simulation loop polls the flag at
-// its watchdog cadence and performs the checkpoint-and-exit on the normal
+// The handler only sets a sig_atomic_t flag (async-signal-safe); the
+// simulation loop polls the flag at its watchdog cadence and performs the checkpoint-and-exit on the normal
 // call stack, where throwing and file I/O are legal.
 #pragma once
 
@@ -19,11 +18,6 @@ const volatile std::sig_atomic_t& stop_flag();
 
 /// True once a stop signal arrived.
 bool stop_requested();
-
-/// Read end of the self-pipe (one byte is written per signal), for callers
-/// that block in poll/select rather than polling the flag; -1 before
-/// install_stop_handlers().
-int stop_pipe_fd();
 
 /// Clears the flag so tests can raise() a signal and then recover.
 void reset_stop_for_tests();

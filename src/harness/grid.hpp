@@ -1,13 +1,10 @@
-// Grid sweep definition shared by memsched_sweep and the sweep daemon.
+// Grid sweep definition behind `memsched_sweep grid`.
 //
 // A grid is the (workload x scheme) cross product of the paper's evaluation
-// methodology plus every knob that changes a point's result. Historically the
-// point-list construction lived inline in tools/memsched_sweep.cpp; the serve
-// subsystem (src/serve) needs to build the exact same PointSpecs from a
-// submitted job, so the parsing, validation, fingerprinting and point
-// construction live here — one implementation, two front ends, and a
-// submitted job is guaranteed to produce bytes identical to the same grid run
-// through the CLI tool.
+// methodology plus every knob that changes a point's result. The parsing,
+// validation, fingerprinting and point construction live here, apart from the
+// CLI front end, so tests can build and run the exact PointSpecs the tool
+// runs.
 #pragma once
 
 #include <string>
@@ -59,8 +56,8 @@ struct GridSpec {
 /// Point-independent configuration fingerprint: every result-affecting knob
 /// EXCEPT the workload/scheme lists. Point names ("workload/scheme") carry
 /// the rest of the identity, so two grids that share a configuration share
-/// result-cache entries per point — the daemon's incremental re-sweeps hang
-/// off this.
+/// result-cache entries per point, and a grown grid re-simulates only its new
+/// points.
 [[nodiscard]] std::string config_fingerprint(const GridSpec& spec);
 
 /// Builds the PointSpec list for the grid: one isolated, checkpointable,

@@ -123,7 +123,6 @@ void Orchestrator::commit_record(const PointRecord& rec, bool cacheable) {
     cache_->put(rec.name, rec.payload);
   }
   if (rec.ok() && rec.wall_ms > 0.0) cost_.observe(rec.name, rec.wall_ms);
-  if (cfg_.on_record) cfg_.on_record(rec);
 }
 
 bool Orchestrator::cache_lookup(const PointSpec& point, std::size_t index,

@@ -67,8 +67,8 @@ struct OrchestratorConfig {
 
   /// Result-cache identity; empty = `fingerprint`. Grid sweeps pass the
   /// point-independent config fingerprint here so two grids that share a
-  /// configuration share cache entries per point (the sweep daemon's
-  /// incremental re-sweeps), while the manifest and report keep the full
+  /// configuration share cache entries per point (a grown grid re-simulates
+  /// only its new points), while the manifest and report keep the full
   /// sweep identity.
   std::string cache_fingerprint;
 
@@ -110,12 +110,6 @@ struct OrchestratorConfig {
   /// resumes them from their snapshots. Children that complete before the
   /// signal lands are still recorded.
   const volatile std::sig_atomic_t* stop = nullptr;
-
-  /// Liveness hook: invoked after every committed point record (including
-  /// cache hits). The serve daemon's job runners heartbeat
-  /// through this so their supervisor can tell "long point" from "wedged
-  /// runner". Must be cheap and must not throw.
-  std::function<void(const PointRecord&)> on_record;
 };
 
 struct SweepSummary {

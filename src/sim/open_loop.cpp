@@ -237,7 +237,7 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg, sched::Scheduler& schedu
       accepted += ok;
     }
     mcu.tick(now);
-    if ((now & 1023) == 0 &&
+    if ((now & kWatchdogPollMask) == 0 &&
         watchdog.poll(now, mcu.served_total(), !mcu.idle())) {
       watchdog.raise("open-loop run", mcu, scheduler, now);
     }
@@ -251,7 +251,7 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg, sched::Scheduler& schedu
       if (carry + cfg.inject_per_tick < 1.0) {
         Tick limit = std::min(mcu.next_activity_tick(now), total);
         if (!measuring) limit = std::min(limit, cfg.warmup_ticks);
-        if (watchdog.enabled()) limit = std::min(limit, (now | 1023) + 1);
+        if (watchdog.enabled()) limit = std::min(limit, (now | kWatchdogPollMask) + 1);
         while (now + 1 < limit && carry + cfg.inject_per_tick < 1.0) {
           carry += cfg.inject_per_tick;
           ++now;

@@ -117,6 +117,91 @@ std::string MultiCoreSystem::run_fingerprint(std::uint64_t target_insts,
   return os.str();
 }
 
+struct MultiCoreSystem::TickState {
+  TickState(std::uint32_t n, const SystemConfig& config)
+      : goal(n, 0),
+        finish_cycle(n, 0),
+        done(n, false),
+        epoch_insts(n, 0),
+        epoch_bytes(n, 0),
+        next_epoch(config.epoch_ticks),
+        watchdogs(n, ProgressWatchdog(config.progress_window_ticks)) {}
+
+  std::vector<std::uint64_t> goal;  ///< committed count that ends the phase
+  std::vector<CpuCycle> finish_cycle;
+  std::vector<bool> done;
+  std::uint32_t done_count = 0;
+  // Per-core counters at the previous epoch boundary, for on_epoch.
+  std::vector<std::uint64_t> epoch_insts;
+  std::vector<std::uint64_t> epoch_bytes;
+  Tick next_epoch;
+  // One forward-progress watchdog per core: a single starved core must be
+  // caught even while its neighbours keep committing.
+  std::vector<ProgressWatchdog> watchdogs;
+  Tick visited = 0;
+};
+
+void MultiCoreSystem::visit_tick(Tick t, TickState& s, const char* context,
+                                 bool expect_progress) {
+  const std::uint32_t n = config_.cores;
+  ++s.visited;
+  hierarchy_->tick(t);
+  controller_->tick(t);
+  const CpuCycle window_end = (t + 1) * config_.cpu_ratio;
+  for (std::uint32_t c = 0; c < n; ++c) {
+    cores_[c]->step_to(window_end);
+    if (!s.done[c] && cores_[c]->committed() >= s.goal[c]) {
+      s.done[c] = true;
+      s.finish_cycle[c] = cores_[c]->cycle();
+      ++s.done_count;
+    }
+  }
+  if ((t & kWatchdogPollMask) == 0 && s.watchdogs[0].enabled()) {
+    for (std::uint32_t c = 0; c < n; ++c) {
+      // Early finishers keep running but owe no further progress; their
+      // lane resets instead of arming.
+      if (s.watchdogs[c].poll(t, cores_[c]->committed(), expect_progress && !s.done[c])) {
+        s.watchdogs[c].raise("core " + std::to_string(c) + " (" + context + ")",
+                             *controller_, *scheduler_, t);
+      }
+    }
+  }
+  if (t >= s.next_epoch) {
+    s.next_epoch += config_.epoch_ticks;
+    if (auditor_) auditor_->cross_check(t);
+    const auto& cs = controller_->stats();
+    for (std::uint32_t c = 0; c < n; ++c) {
+      const std::uint64_t insts = cores_[c]->committed();
+      const std::uint64_t bytes = (cs.core_reads[c] + cs.core_writes[c]) * kLineBytes;
+      scheduler_->on_epoch(c, static_cast<double>(insts - s.epoch_insts[c]),
+                           static_cast<double>(bytes - s.epoch_bytes[c]));
+      s.epoch_insts[c] = insts;
+      s.epoch_bytes[c] = bytes;
+    }
+  }
+}
+
+Tick MultiCoreSystem::next_tick(Tick t, const TickState& s, Tick max_ticks) const {
+  // Next-event fast-forward: every tick in (t, jump) is a provable no-op
+  // for the hierarchy, the controller and every core, and the jump never
+  // crosses a watchdog poll or epoch boundary — so visited ticks, and
+  // therefore all statistics and RNG draws, match the cycle oracle.
+  // Cheapest sources first, and stop as soon as t + 1 is inevitable — the
+  // jump can never land before t + 1, so further scanning buys nothing.
+  Tick jump = kNeverTick;
+  for (const auto& core : cores_) {
+    const CpuCycle wake = core->next_activity_cycle();
+    if (wake != cpu::CoreModel::kIdle)
+      jump = std::min(jump, std::max(wake / config_.cpu_ratio, t + 1));
+  }
+  if (jump > t + 1) jump = std::min(jump, hierarchy_->next_activity_tick(t));
+  if (jump > t + 1) jump = std::min(jump, controller_->next_activity_tick(t));
+  jump = std::min(jump, s.next_epoch);
+  if (s.watchdogs[0].enabled())
+    jump = std::min(jump, (t | kWatchdogPollMask) + 1);  // next poll boundary
+  return std::min(std::max(jump, t + 1), max_ticks);
+}
+
 RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_insts,
                                Tick max_ticks, const ckpt::CheckpointPolicy& policy) {
   MEMSCHED_ASSERT(target_insts > 0, "target instruction count must be positive");
@@ -129,20 +214,12 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
         "serialized, so a resumed run could not keep verifying (disable one)");
   }
 
-  std::vector<std::uint64_t> goal(n, 0);     ///< committed count that ends the phase
-  std::vector<CpuCycle> base_cycle(n, 0);    ///< measurement start per core
-  std::vector<CpuCycle> finish_cycle(n, 0);
-  std::vector<bool> done(n, false);
-  std::uint32_t done_count = 0;
-
-  // Per-core counters at the previous epoch boundary, for on_epoch.
-  std::vector<std::uint64_t> epoch_insts(n, 0);
-  std::vector<std::uint64_t> epoch_bytes(n, 0);
-  Tick next_epoch = config_.epoch_ticks;
+  TickState loop(n, config_);
+  std::vector<CpuCycle> base_cycle(n, 0);  ///< measurement start per core
 
   bool measuring = warmup_insts == 0;
   for (std::uint32_t c = 0; c < n; ++c) {
-    goal[c] = cores_[c]->committed() + (measuring ? target_insts : warmup_insts);
+    loop.goal[c] = cores_[c]->committed() + (measuring ? target_insts : warmup_insts);
   }
 
   auto begin_measurement = [&] {
@@ -152,23 +229,14 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     for (std::uint32_t c = 0; c < n; ++c) {
       cores_[c]->reset_stats();
       base_cycle[c] = cores_[c]->cycle();
-      goal[c] = cores_[c]->committed() + target_insts;
-      done[c] = false;
+      loop.goal[c] = cores_[c]->committed() + target_insts;
+      loop.done[c] = false;
     }
-    done_count = 0;
+    loop.done_count = 0;
   };
-
-  // One forward-progress watchdog per core: a single starved core must be
-  // caught even while its neighbours keep committing. Polled sparsely — the
-  // counters are monotonic, so coarse sampling only delays detection by at
-  // most one poll interval. The skip engine never jumps over a poll
-  // boundary, so both engines poll at the same ticks with the same state.
-  constexpr Tick kWatchdogPollMask = 1023;
-  std::vector<ProgressWatchdog> watchdogs(n, ProgressWatchdog(config_.progress_window_ticks));
 
   Tick t = 0;
   Tick t_measure_start = 0;
-  Tick visited = 0;
   bool finished = false;  ///< loop ran to completion (restored or live)
 
   // --- checkpoint plumbing -------------------------------------------------
@@ -189,17 +257,17 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     w.begin_section("loop");
     w.put_bool(finished);
     w.put_u64(t);
-    w.put_u64(visited);
+    w.put_u64(loop.visited);
     w.put_u64(t_measure_start);
     w.put_bool(measuring);
-    w.put_u32(done_count);
-    w.put_u64(next_epoch);
-    w.put_u64_vec(goal);
+    w.put_u32(loop.done_count);
+    w.put_u64(loop.next_epoch);
+    w.put_u64_vec(loop.goal);
     w.put_u64_vec(base_cycle);
-    w.put_u64_vec(finish_cycle);
-    for (std::uint32_t c = 0; c < n; ++c) w.put_bool(done[c]);
-    w.put_u64_vec(epoch_insts);
-    w.put_u64_vec(epoch_bytes);
+    w.put_u64_vec(loop.finish_cycle);
+    for (std::uint32_t c = 0; c < n; ++c) w.put_bool(loop.done[c]);
+    w.put_u64_vec(loop.epoch_insts);
+    w.put_u64_vec(loop.epoch_bytes);
     w.begin_section("sched");
     scheduler_->save_state(w);
     w.begin_section("cores");
@@ -218,7 +286,7 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
       fault_->save_state(w);
     }
     w.begin_section("watchdogs");
-    for (std::uint32_t c = 0; c < n; ++c) watchdogs[c].save_state(w);
+    for (std::uint32_t c = 0; c < n; ++c) loop.watchdogs[c].save_state(w);
     w.save(policy.path, fp);
   };
 
@@ -275,21 +343,21 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
         r.close_section();
       }
       r.open_section("watchdogs");
-      for (std::uint32_t c = 0; c < n; ++c) watchdogs[c].load_state(r);
+      for (std::uint32_t c = 0; c < n; ++c) loop.watchdogs[c].load_state(r);
       r.close_section();
       finished = was_finished;
       t = r_t;
-      visited = r_visited;
+      loop.visited = r_visited;
       t_measure_start = r_tms;
       measuring = r_measuring;
-      done_count = r_done_count;
-      next_epoch = r_next_epoch;
-      goal = r_goal;
+      loop.done_count = r_done_count;
+      loop.next_epoch = r_next_epoch;
+      loop.goal = r_goal;
       base_cycle = r_base;
-      finish_cycle = r_finish;
-      done = r_done;
-      epoch_insts = std::move(r_epoch_insts);
-      epoch_bytes = std::move(r_epoch_bytes);
+      loop.finish_cycle = r_finish;
+      loop.done = r_done;
+      loop.epoch_insts = std::move(r_epoch_insts);
+      loop.epoch_bytes = std::move(r_epoch_bytes);
       if (policy.resume_info) {
         policy.resume_info->attempted = true;
         policy.resume_info->resumed = true;
@@ -322,43 +390,11 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
         next_ckpt = (t / policy.interval_ticks + 1) * policy.interval_ticks;
       }
     }
-    ++visited;
-    hierarchy_->tick(t);
-    controller_->tick(t);
-    const CpuCycle window_end = (t + 1) * config_.cpu_ratio;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      cores_[c]->step_to(window_end);
-      if (!done[c] && cores_[c]->committed() >= goal[c]) {
-        done[c] = true;
-        finish_cycle[c] = cores_[c]->cycle();
-        ++done_count;
-      }
-    }
-    if ((t & kWatchdogPollMask) == 0 && watchdogs[0].enabled()) {
-      for (std::uint32_t c = 0; c < n; ++c) {
-        // Early finishers keep running but owe no further progress; their
-        // lane resets instead of arming.
-        if (watchdogs[c].poll(t, cores_[c]->committed(), !done[c])) {
-          watchdogs[c].raise("core " + std::to_string(c) + " (closed-loop run, " +
-                                 (measuring ? "measurement" : "warmup") + " phase)",
-                             *controller_, *scheduler_, t);
-        }
-      }
-    }
-    if (t >= next_epoch) {
-      next_epoch += config_.epoch_ticks;
-      if (auditor_) auditor_->cross_check(t);
-      const auto& cs = controller_->stats();
-      for (std::uint32_t c = 0; c < n; ++c) {
-        const std::uint64_t insts = cores_[c]->committed();
-        const std::uint64_t bytes = (cs.core_reads[c] + cs.core_writes[c]) * kLineBytes;
-        scheduler_->on_epoch(c, static_cast<double>(insts - epoch_insts[c]),
-                             static_cast<double>(bytes - epoch_bytes[c]));
-        epoch_insts[c] = insts;
-        epoch_bytes[c] = bytes;
-      }
-    }
-    if (done_count == n) {
+    visit_tick(t, loop,
+               measuring ? "closed-loop run, measurement phase"
+                         : "closed-loop run, warmup phase",
+               true);
+    if (loop.done_count == n) {
       if (measuring) {
         ++t;
         break;
@@ -367,32 +403,11 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
       t_measure_start = t + 1;
       // Epoch traffic counters restart with the stats reset.
       for (std::uint32_t c = 0; c < n; ++c) {
-        epoch_insts[c] = cores_[c]->committed();
-        epoch_bytes[c] = 0;
+        loop.epoch_insts[c] = cores_[c]->committed();
+        loop.epoch_bytes[c] = 0;
       }
     }
-    if (config_.engine == Engine::kCycle) {
-      ++t;
-      continue;
-    }
-    // Next-event fast-forward: every tick in (t, jump) is a provable no-op
-    // for the hierarchy, the controller and every core, and the jump never
-    // crosses a watchdog poll or epoch boundary — so visited ticks, and
-    // therefore all statistics and RNG draws, match the cycle oracle.
-    // Cheapest sources first, and stop as soon as t + 1 is inevitable — the
-    // jump can never land before t + 1, so further scanning buys nothing.
-    Tick jump = kNeverTick;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const CpuCycle wake = cores_[c]->next_activity_cycle();
-      if (wake != cpu::CoreModel::kIdle)
-        jump = std::min(jump, std::max(wake / config_.cpu_ratio, t + 1));
-    }
-    if (jump > t + 1) jump = std::min(jump, hierarchy_->next_activity_tick(t));
-    if (jump > t + 1) jump = std::min(jump, controller_->next_activity_tick(t));
-    jump = std::min(jump, next_epoch);
-    if (watchdogs[0].enabled())
-      jump = std::min(jump, (t | kWatchdogPollMask) + 1);  // next poll boundary
-    t = std::min(std::max(jump, t + 1), max_ticks);
+    t = config_.engine == Engine::kCycle ? t + 1 : next_tick(t, loop, max_ticks);
   }
 
   if (!finished && policy.enabled()) {
@@ -407,8 +422,8 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
 
   RunResult result;
   result.ticks = t;
-  result.visited_ticks = visited;
-  result.hit_tick_limit = done_count < n || !measuring;
+  result.visited_ticks = loop.visited;
+  result.hit_tick_limit = loop.done_count < n || !measuring;
   result.controller_stats = controller_->stats();
   result.avg_read_latency_cpu = result.controller_stats.read_latency_cpu.mean();
   result.row_hit_rate = result.controller_stats.row_hit_rate();
@@ -419,7 +434,8 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
   for (std::uint32_t c = 0; c < n; ++c) {
     CoreResult& cr = result.cores[c];
     cr.committed = cores_[c]->committed();
-    const CpuCycle end_cycle = done[c] && measuring ? finish_cycle[c] : cores_[c]->cycle();
+    const CpuCycle end_cycle =
+        loop.done[c] && measuring ? loop.finish_cycle[c] : cores_[c]->cycle();
     const CpuCycle cycles = end_cycle > base_cycle[c] ? end_cycle - base_cycle[c] : 1;
     cr.finish_cycle = end_cycle;
     cr.ipc = static_cast<double>(target_insts) / static_cast<double>(cycles);
@@ -490,20 +506,9 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
   const std::uint64_t stride = std::max<std::uint64_t>(target_insts / intervals, warm + meas);
   const std::uint64_t ff = stride - (warm + meas);
 
-  std::vector<std::uint64_t> goal(n, 0);
-  std::vector<CpuCycle> finish_cycle(n, 0);
-  std::vector<bool> done(n, false);
-  std::uint32_t done_count = 0;
+  TickState loop(n, config_);
   bool expect_progress = true;  ///< false while draining (cores paused)
-
-  std::vector<std::uint64_t> epoch_insts(n, 0);
-  std::vector<std::uint64_t> epoch_bytes(n, 0);
-  Tick next_epoch = config_.epoch_ticks;
-  constexpr Tick kWatchdogPollMask = 1023;
-  std::vector<ProgressWatchdog> watchdogs(n, ProgressWatchdog(config_.progress_window_ticks));
-
   Tick t = 0;
-  Tick visited = 0;
 
   // Cumulative data-bus busy ticks, recoverable from the utilization ratio.
   auto busy_ticks = [&]() -> double {
@@ -513,61 +518,19 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
   // One simulated bus tick plus the cycle-skip jump — the same stepping,
   // epoch and watchdog protocol as run(), without checkpoint plumbing.
   auto tick_once = [&] {
-    ++visited;
-    hierarchy_->tick(t);
-    controller_->tick(t);
-    const CpuCycle window_end = (t + 1) * config_.cpu_ratio;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      cores_[c]->step_to(window_end);
-      if (!done[c] && cores_[c]->committed() >= goal[c]) {
-        done[c] = true;
-        finish_cycle[c] = cores_[c]->cycle();
-        ++done_count;
-      }
-    }
-    if ((t & kWatchdogPollMask) == 0 && watchdogs[0].enabled()) {
-      for (std::uint32_t c = 0; c < n; ++c) {
-        if (watchdogs[c].poll(t, cores_[c]->committed(), expect_progress && !done[c])) {
-          watchdogs[c].raise("core " + std::to_string(c) + " (sampled run)",
-                             *controller_, *scheduler_, t);
-        }
-      }
-    }
-    if (t >= next_epoch) {
-      next_epoch += config_.epoch_ticks;
-      if (auditor_) auditor_->cross_check(t);
-      const auto& cs = controller_->stats();
-      for (std::uint32_t c = 0; c < n; ++c) {
-        const std::uint64_t insts = cores_[c]->committed();
-        const std::uint64_t bytes = (cs.core_reads[c] + cs.core_writes[c]) * kLineBytes;
-        scheduler_->on_epoch(c, static_cast<double>(insts - epoch_insts[c]),
-                             static_cast<double>(bytes - epoch_bytes[c]));
-        epoch_insts[c] = insts;
-        epoch_bytes[c] = bytes;
-      }
-    }
-    Tick jump = kNeverTick;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const CpuCycle wake = cores_[c]->next_activity_cycle();
-      if (wake != cpu::CoreModel::kIdle)
-        jump = std::min(jump, std::max(wake / config_.cpu_ratio, t + 1));
-    }
-    if (jump > t + 1) jump = std::min(jump, hierarchy_->next_activity_tick(t));
-    if (jump > t + 1) jump = std::min(jump, controller_->next_activity_tick(t));
-    jump = std::min(jump, next_epoch);
-    if (watchdogs[0].enabled()) jump = std::min(jump, (t | kWatchdogPollMask) + 1);
-    t = std::min(std::max(jump, t + 1), max_ticks);
+    visit_tick(t, loop, "sampled run", expect_progress);
+    t = next_tick(t, loop, max_ticks);
   };
 
   // Detailed execution until every core commits `insts` more instructions.
   auto run_detailed = [&](std::uint64_t insts) -> bool {
     for (std::uint32_t c = 0; c < n; ++c) {
-      goal[c] = cores_[c]->committed() + insts;
-      done[c] = false;
+      loop.goal[c] = cores_[c]->committed() + insts;
+      loop.done[c] = false;
     }
-    done_count = 0;
+    loop.done_count = 0;
     expect_progress = true;
-    while (done_count < n) {
+    while (loop.done_count < n) {
       if (t >= max_ticks) return false;
       tick_once();
     }
@@ -624,8 +587,8 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
     for (std::uint32_t c = 0; c < n; ++c) {
       cores_[c]->reset_stats();
       base_cycle[c] = cores_[c]->cycle();
-      epoch_insts[c] = cores_[c]->committed();
-      epoch_bytes[c] = 0;
+      loop.epoch_insts[c] = cores_[c]->committed();
+      loop.epoch_bytes[c] = 0;
     }
     const Tick t_start = t;
     const double busy_start = busy_ticks();
@@ -635,8 +598,9 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
     }
     double ipc_sum = 0.0, ipc_min = 0.0, ipc_max = 0.0;
     for (std::uint32_t c = 0; c < n; ++c) {
-      const CpuCycle cycles =
-          finish_cycle[c] > base_cycle[c] ? finish_cycle[c] - base_cycle[c] : 1;
+      const CpuCycle cycles = loop.finish_cycle[c] > base_cycle[c]
+                                  ? loop.finish_cycle[c] - base_cycle[c]
+                                  : 1;
       const double ipc = static_cast<double>(meas) / static_cast<double>(cycles);
       core_ipc_samples[c].push_back(ipc);
       ipc_sum += ipc;
@@ -671,7 +635,7 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
 
   RunResult result;
   result.ticks = t;             // detailed (simulated) ticks only
-  result.visited_ticks = visited;
+  result.visited_ticks = loop.visited;
   result.hit_tick_limit = hit_limit;
   result.controller_stats = controller_->stats();  // final interval's window
 

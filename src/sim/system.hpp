@@ -148,6 +148,23 @@ class MultiCoreSystem {
   RunResult run_sampled(std::uint64_t target_insts, std::uint64_t warmup_insts,
                         Tick max_ticks, const ckpt::CheckpointPolicy& policy);
 
+  /// Loop state of one closed-loop run, carried from tick to tick: per-core
+  /// phase goals and completion, epoch-roll baselines, progress watchdogs
+  /// and the visited-tick count.
+  struct TickState;
+
+  /// Visits bus tick `t`, the tick body run() and run_sampled() share: ticks
+  /// the hierarchy and controller, steps every core to the end of the tick
+  /// and marks the ones that reached their goal, polls the watchdogs (a
+  /// livelock names `context`; `expect_progress` false exempts paused cores)
+  /// and rolls the epoch into Scheduler::on_epoch.
+  void visit_tick(Tick t, TickState& s, const char* context, bool expect_progress);
+
+  /// The skip engine's next tick to visit after `t`: the earliest component
+  /// event, clamped to the next epoch and watchdog poll boundary and to
+  /// `max_ticks`.
+  [[nodiscard]] Tick next_tick(Tick t, const TickState& s, Tick max_ticks) const;
+
   /// Snapshot fingerprint for one run() invocation: config + scheduler +
   /// seed + dispatch rates + run parameters + policy context.
   [[nodiscard]] std::string run_fingerprint(std::uint64_t target_insts,

@@ -58,6 +58,13 @@ class CycleBudgetError : public std::runtime_error {
   Tick budget_;
 };
 
+/// Every run loop polls its watchdogs at the ticks where
+/// `(t & kWatchdogPollMask) == 0`, i.e. once per 1024 bus ticks, and the skip
+/// engines never jump past the next poll tick `(t | kWatchdogPollMask) + 1`.
+/// The counters are monotonic, so the sparse poll only delays detection by
+/// at most one interval.
+inline constexpr Tick kWatchdogPollMask = 1023;
+
 /// Tracks one monotonic progress counter. poll() returns true once the
 /// counter has not advanced for `window` ticks while work stayed pending;
 /// the caller then raise()s with whatever context it has.

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 
 #include "harness/cost_model.hpp"
 #include "harness/fingerprint.hpp"
+#include "harness/grid.hpp"
 #include "harness/guarded_main.hpp"
 #include "harness/manifest.hpp"
 #include "harness/orchestrator.hpp"
@@ -25,6 +27,7 @@
 #include "sim/system.hpp"
 #include "sim/watchdog.hpp"
 #include "trace/app_profile.hpp"
+#include "util/config.hpp"
 #include "util/json.hpp"
 
 using namespace memsched;
@@ -509,6 +512,67 @@ TEST(GridFingerprint, EveryResultAffectingKnobParticipates) {
   fault.delay_prob = 0.5;
   EXPECT_NE(harness::grid_fingerprint(base, "2MEM-1", "HF-RF", fault, ""),
             fp(base));
+}
+
+// Incremental re-sweeps: two grids sharing a configuration share result-cache
+// entries per point, because `memsched_sweep grid` keys the cache on the
+// point-independent config fingerprint plus the point name.
+
+TEST(GridFingerprint, ConfigFingerprintSharesCacheAcrossGrids) {
+  util::Config c1;
+  ASSERT_FALSE(c1.parse_token("workloads=2MEM-1").has_value());
+  ASSERT_FALSE(c1.parse_token("schemes=HF-RF").has_value());
+  ASSERT_FALSE(c1.parse_token("insts=15000").has_value());
+  ASSERT_FALSE(c1.parse_token("profile_insts=50000").has_value());
+  const harness::GridSpec g1 = harness::grid_from_config(c1);
+
+  util::Config c2;
+  ASSERT_FALSE(c2.parse_token("workloads=2MEM-1").has_value());
+  ASSERT_FALSE(c2.parse_token("schemes=HF-RF,FCFS").has_value());
+  ASSERT_FALSE(c2.parse_token("insts=15000").has_value());
+  ASSERT_FALSE(c2.parse_token("profile_insts=50000").has_value());
+  const harness::GridSpec g2 = harness::grid_from_config(c2);
+
+  // Different grids, one configuration: the classic sweep identity differs,
+  // the config identity matches.
+  EXPECT_NE(harness::fingerprint(g1), harness::fingerprint(g2));
+  EXPECT_EQ(harness::config_fingerprint(g1), harness::config_fingerprint(g2));
+
+  // A knob that changes results must change the config identity.
+  util::Config c3;
+  ASSERT_FALSE(c3.parse_token("workloads=2MEM-1").has_value());
+  ASSERT_FALSE(c3.parse_token("schemes=HF-RF").has_value());
+  ASSERT_FALSE(c3.parse_token("insts=20000").has_value());
+  ASSERT_FALSE(c3.parse_token("profile_insts=50000").has_value());
+  EXPECT_NE(harness::config_fingerprint(g1),
+            harness::config_fingerprint(harness::grid_from_config(c3)));
+
+  // And the sharing is real: sweep grid 1, then the superset grid 2 against
+  // the same cache — its HF-RF point is served from the cache, not re-run.
+  const std::string dir = tmp_path("cache_share");
+  std::filesystem::remove_all(dir);
+  const auto orch_cfg = [&](const harness::GridSpec& g, const char* tag) {
+    harness::OrchestratorConfig oc;
+    oc.work_dir = dir + "/work-" + tag;
+    oc.cache_dir = dir + "/cache";
+    oc.fingerprint = harness::fingerprint(g);
+    oc.cache_fingerprint = harness::config_fingerprint(g);
+    oc.isolate = false;
+    oc.verbose = false;
+    return oc;
+  };
+  harness::Orchestrator first(orch_cfg(g1, "a"));
+  const harness::SweepSummary s1 = first.run(harness::grid_points(g1));
+  ASSERT_TRUE(s1.complete());
+  EXPECT_EQ(s1.ok, 1u);
+  EXPECT_EQ(s1.cache_hits, 0u);
+
+  harness::Orchestrator second(orch_cfg(g2, "b"));
+  const harness::SweepSummary s2 = second.run(harness::grid_points(g2));
+  ASSERT_TRUE(s2.complete());
+  EXPECT_EQ(s2.ok, 2u);
+  EXPECT_EQ(s2.cache_hits, 1u) << "shared point must be a cache hit";
+  EXPECT_EQ(s2.executed, 1u);
 }
 
 // ---------------------------------------------------------------------------

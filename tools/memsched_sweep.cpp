@@ -139,10 +139,7 @@ int finish(const util::Config& cli, harness::Orchestrator& orch,
 
 int cmd_grid(const util::Config& cli) {
   // Grid-definition vocabulary lives in harness::grid_keys(); this front end
-  // adds its transport/orchestration keys on top. The daemon front end
-  // (memsched_served) accepts the grid keys alone — same parser, same
-  // defaults, same point bodies (harness/grid.cpp), so a submitted job and a
-  // CLI sweep of the same definition produce identical result bytes.
+  // adds its orchestration keys on top.
   std::vector<std::string_view> known(harness::grid_keys());
   for (const char* k : {"manifest", "report", "timeout", "attempts", "backoff",
                         "isolate", "stop_after", "strict", "quiet", "jobs",
@@ -166,8 +163,8 @@ int cmd_grid(const util::Config& cli) {
   // top of SystemConfig::fingerprint() so new simulator knobs (engine=, ...)
   // can never silently drop out of it again.
   harness::OrchestratorConfig oc = orchestrator_from(cli, harness::fingerprint(spec));
-  // Cache entries key on the point-independent config identity, so CLI
-  // sweeps and daemon jobs that share a configuration share cached points.
+  // Cache entries key on the point-independent config identity, so two grids
+  // that share a configuration share cached points.
   oc.cache_fingerprint = harness::config_fingerprint(spec);
   harness::Orchestrator orch(std::move(oc));
   const harness::SweepSummary s = orch.run(harness::grid_points(spec));
