@@ -13,8 +13,10 @@
 namespace memsched::sim {
 namespace {
 
+// The grade is a std::string, not a const char*: gtest prints a C string with its
+// address, which would put an ASLR-dependent value into every discovered test name.
 using ConfigPoint = std::tuple<std::uint32_t /*channels*/, std::uint32_t /*banks*/,
-                               const char* /*grade*/, int /*interleave*/,
+                               std::string /*grade*/, int /*interleave*/,
                                int /*page policy*/, bool /*bank_xor*/>;
 
 class ConfigLattice : public ::testing::TestWithParam<ConfigPoint> {};
