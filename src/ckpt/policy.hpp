@@ -19,10 +19,12 @@ struct ResumeInfo {
 
 /// Controls snapshotting for one run. Default-constructed policy is inert.
 struct CheckpointPolicy {
-  /// Snapshot file path; empty disables checkpointing entirely.
+  /// Snapshot file path; empty disables checkpointing entirely. A run that
+  /// finds a file here restores from it first (fingerprint/CRC failures fall
+  /// back to a fresh run, reported via `resume_info`).
   std::string path;
 
-  /// Save a snapshot every `interval_ticks` CPU ticks (0 = only on stop /
+  /// Save a snapshot every `interval_ticks` bus ticks (0 = only on stop /
   /// completion).
   Tick interval_ticks = 0;
 
@@ -34,10 +36,6 @@ struct CheckpointPolicy {
   /// Free-form context mixed into the snapshot fingerprint so snapshots from
   /// different sub-runs of one experiment can never be confused.
   std::string context;
-
-  /// Attempt to restore from `path` before running (fingerprint/CRC failures
-  /// fall back to a fresh run, reported via `resume_info`).
-  bool resume = true;
 
   /// Test hooks. `stop_at_tick` acts as if the stop flag fired at that tick;
   /// with `save_on_stop=false` the run aborts WITHOUT saving, emulating

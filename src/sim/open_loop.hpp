@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "ckpt/policy.hpp"
 #include "mc/controller.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -62,12 +61,5 @@ struct OpenLoopResult {
 
 /// Runs the open-loop experiment; the scheduler is reset() first.
 OpenLoopResult run_open_loop(const OpenLoopConfig& cfg, sched::Scheduler& scheduler);
-
-/// Checkpoint-aware variant: same contract as MultiCoreSystem::run — resume
-/// from `policy.path` when a valid snapshot exists, periodic saves, stop-flag
-/// park via ckpt::CheckpointStop; a resumed run's result is byte-identical
-/// to an uninterrupted one. Rejected while the auditor is enabled.
-OpenLoopResult run_open_loop(const OpenLoopConfig& cfg, sched::Scheduler& scheduler,
-                             const ckpt::CheckpointPolicy& policy);
 
 }  // namespace memsched::sim

@@ -125,7 +125,12 @@ struct MultiCoreSystem::TickState {
         epoch_insts(n, 0),
         epoch_bytes(n, 0),
         next_epoch(config.epoch_ticks),
-        watchdogs(n, ProgressWatchdog(config.progress_window_ticks)) {}
+        watchdogs(n, ProgressWatchdog(config.progress_window_ticks)),
+        base_cycle(n, 0) {}
+
+  /// The snapshot's "loop" section; the watchdogs have their own.
+  void save_state(ckpt::Writer& w) const;
+  void load_state(ckpt::Reader& r);
 
   std::vector<std::uint64_t> goal;  ///< committed count that ends the phase
   std::vector<CpuCycle> finish_cycle;
@@ -139,7 +144,51 @@ struct MultiCoreSystem::TickState {
   // caught even while its neighbours keep committing.
   std::vector<ProgressWatchdog> watchdogs;
   Tick visited = 0;
+  Tick t = 0;  ///< next tick to visit
+  Tick t_measure_start = 0;
+  bool measuring = false;
+  bool finished = false;  ///< loop ran to completion (restored or live)
+  std::vector<CpuCycle> base_cycle;  ///< measurement start per core
 };
+
+void MultiCoreSystem::TickState::save_state(ckpt::Writer& w) const {
+  w.put_bool(finished);
+  w.put_u64(t);
+  w.put_u64(visited);
+  w.put_u64(t_measure_start);
+  w.put_bool(measuring);
+  w.put_u32(done_count);
+  w.put_u64(next_epoch);
+  w.put_u64_vec(goal);
+  w.put_u64_vec(base_cycle);
+  w.put_u64_vec(finish_cycle);
+  for (const bool d : done) w.put_bool(d);
+  w.put_u64_vec(epoch_insts);
+  w.put_u64_vec(epoch_bytes);
+}
+
+void MultiCoreSystem::TickState::load_state(ckpt::Reader& r) {
+  const std::size_t n = done.size();
+  finished = r.get_bool();
+  t = r.get_u64();
+  visited = r.get_u64();
+  t_measure_start = r.get_u64();
+  measuring = r.get_bool();
+  done_count = r.get_u32();
+  next_epoch = r.get_u64();
+  goal = r.get_u64_vec();
+  base_cycle = r.get_u64_vec();
+  finish_cycle = r.get_u64_vec();
+  if (goal.size() != n || base_cycle.size() != n || finish_cycle.size() != n) {
+    throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
+  }
+  for (std::size_t c = 0; c < n; ++c) done[c] = r.get_bool();
+  epoch_insts = r.get_u64_vec();
+  epoch_bytes = r.get_u64_vec();
+  if (epoch_insts.size() != n || epoch_bytes.size() != n) {
+    throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
+  }
+}
 
 void MultiCoreSystem::visit_tick(Tick t, TickState& s, const char* context,
                                  bool expect_progress) {
@@ -215,29 +264,24 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
   }
 
   TickState loop(n, config_);
-  std::vector<CpuCycle> base_cycle(n, 0);  ///< measurement start per core
-
-  bool measuring = warmup_insts == 0;
+  loop.measuring = warmup_insts == 0;
   for (std::uint32_t c = 0; c < n; ++c) {
-    loop.goal[c] = cores_[c]->committed() + (measuring ? target_insts : warmup_insts);
+    loop.goal[c] =
+        cores_[c]->committed() + (loop.measuring ? target_insts : warmup_insts);
   }
 
   auto begin_measurement = [&] {
-    measuring = true;
+    loop.measuring = true;
     controller_->reset_stats();
     hierarchy_->reset_stats();
     for (std::uint32_t c = 0; c < n; ++c) {
       cores_[c]->reset_stats();
-      base_cycle[c] = cores_[c]->cycle();
+      loop.base_cycle[c] = cores_[c]->cycle();
       loop.goal[c] = cores_[c]->committed() + target_insts;
       loop.done[c] = false;
     }
     loop.done_count = 0;
   };
-
-  Tick t = 0;
-  Tick t_measure_start = 0;
-  bool finished = false;  ///< loop ran to completion (restored or live)
 
   // --- checkpoint plumbing -------------------------------------------------
   // A snapshot is taken at the top of a loop iteration, before tick t is
@@ -255,19 +299,7 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
   auto save_snapshot = [&] {
     ckpt::Writer w;
     w.begin_section("loop");
-    w.put_bool(finished);
-    w.put_u64(t);
-    w.put_u64(loop.visited);
-    w.put_u64(t_measure_start);
-    w.put_bool(measuring);
-    w.put_u32(loop.done_count);
-    w.put_u64(loop.next_epoch);
-    w.put_u64_vec(loop.goal);
-    w.put_u64_vec(base_cycle);
-    w.put_u64_vec(loop.finish_cycle);
-    for (std::uint32_t c = 0; c < n; ++c) w.put_bool(loop.done[c]);
-    w.put_u64_vec(loop.epoch_insts);
-    w.put_u64_vec(loop.epoch_bytes);
+    loop.save_state(w);
     w.begin_section("sched");
     scheduler_->save_state(w);
     w.begin_section("cores");
@@ -290,33 +322,16 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     w.save(policy.path, fp);
   };
 
-  if (policy.enabled() && policy.resume &&
-      std::ifstream(policy.path, std::ios::binary).good()) {
+  if (policy.enabled() && std::ifstream(policy.path, std::ios::binary).good()) {
     if (policy.resume_info) *policy.resume_info = {};
     bool mutated = false;  // components touched: a failure now is NOT recoverable
     try {
       ckpt::Reader r(policy.path, fp);
+      // The loop section lands in a staged copy, adopted only once every
+      // component has loaded.
+      TickState staged = loop;
       r.open_section("loop");
-      const bool was_finished = r.get_bool();
-      const Tick r_t = r.get_u64();
-      const Tick r_visited = r.get_u64();
-      const Tick r_tms = r.get_u64();
-      const bool r_measuring = r.get_bool();
-      const std::uint32_t r_done_count = r.get_u32();
-      const Tick r_next_epoch = r.get_u64();
-      const auto r_goal = r.get_u64_vec();
-      const auto r_base = r.get_u64_vec();
-      const auto r_finish = r.get_u64_vec();
-      if (r_goal.size() != n || r_base.size() != n || r_finish.size() != n) {
-        throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
-      }
-      std::vector<bool> r_done(n, false);
-      for (std::uint32_t c = 0; c < n; ++c) r_done[c] = r.get_bool();
-      auto r_epoch_insts = r.get_u64_vec();
-      auto r_epoch_bytes = r.get_u64_vec();
-      if (r_epoch_insts.size() != n || r_epoch_bytes.size() != n) {
-        throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
-      }
+      staged.load_state(r);
       r.close_section();
       mutated = true;
       r.open_section("sched");
@@ -343,21 +358,9 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
         r.close_section();
       }
       r.open_section("watchdogs");
-      for (std::uint32_t c = 0; c < n; ++c) loop.watchdogs[c].load_state(r);
+      for (std::uint32_t c = 0; c < n; ++c) staged.watchdogs[c].load_state(r);
       r.close_section();
-      finished = was_finished;
-      t = r_t;
-      loop.visited = r_visited;
-      t_measure_start = r_tms;
-      measuring = r_measuring;
-      loop.done_count = r_done_count;
-      loop.next_epoch = r_next_epoch;
-      loop.goal = r_goal;
-      base_cycle = r_base;
-      loop.finish_cycle = r_finish;
-      loop.done = r_done;
-      loop.epoch_insts = std::move(r_epoch_insts);
-      loop.epoch_bytes = std::move(r_epoch_bytes);
+      loop = std::move(staged);
       if (policy.resume_info) {
         policy.resume_info->attempted = true;
         policy.resume_info->resumed = true;
@@ -374,10 +377,11 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
 
   Tick next_ckpt = kNeverTick;
   if (policy.enabled() && policy.interval_ticks != 0) {
-    next_ckpt = (t / policy.interval_ticks + 1) * policy.interval_ticks;
+    next_ckpt = (loop.t / policy.interval_ticks + 1) * policy.interval_ticks;
   }
 
-  while (!finished && t < max_ticks) {
+  while (!loop.finished && loop.t < max_ticks) {
+    const Tick t = loop.t;
     if (policy.enabled()) {
       const bool stop_now = (policy.stop != nullptr && *policy.stop != 0) ||
                             (policy.stop_at_tick != 0 && t >= policy.stop_at_tick);
@@ -391,39 +395,40 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
       }
     }
     visit_tick(t, loop,
-               measuring ? "closed-loop run, measurement phase"
-                         : "closed-loop run, warmup phase",
+               loop.measuring ? "closed-loop run, measurement phase"
+                              : "closed-loop run, warmup phase",
                true);
     if (loop.done_count == n) {
-      if (measuring) {
-        ++t;
+      if (loop.measuring) {
+        loop.t = t + 1;
         break;
       }
       begin_measurement();
-      t_measure_start = t + 1;
+      loop.t_measure_start = t + 1;
       // Epoch traffic counters restart with the stats reset.
       for (std::uint32_t c = 0; c < n; ++c) {
         loop.epoch_insts[c] = cores_[c]->committed();
         loop.epoch_bytes[c] = 0;
       }
     }
-    t = config_.engine == Engine::kCycle ? t + 1 : next_tick(t, loop, max_ticks);
+    loop.t = config_.engine == Engine::kCycle ? t + 1 : next_tick(t, loop, max_ticks);
   }
 
-  if (!finished && policy.enabled()) {
+  if (!loop.finished && policy.enabled()) {
     // Park the completed state: a later invocation (e.g. an orchestrator
     // retry of an already-finished point) resumes it and recomputes the
     // identical result without re-simulating.
-    finished = true;
+    loop.finished = true;
     save_snapshot();
   }
 
+  const Tick t = loop.t;
   if (auditor_) auditor_->finalize(t);
 
   RunResult result;
   result.ticks = t;
   result.visited_ticks = loop.visited;
-  result.hit_tick_limit = loop.done_count < n || !measuring;
+  result.hit_tick_limit = loop.done_count < n || !loop.measuring;
   result.controller_stats = controller_->stats();
   result.avg_read_latency_cpu = result.controller_stats.read_latency_cpu.mean();
   result.row_hit_rate = result.controller_stats.row_hit_rate();
@@ -435,8 +440,9 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     CoreResult& cr = result.cores[c];
     cr.committed = cores_[c]->committed();
     const CpuCycle end_cycle =
-        loop.done[c] && measuring ? loop.finish_cycle[c] : cores_[c]->cycle();
-    const CpuCycle cycles = end_cycle > base_cycle[c] ? end_cycle - base_cycle[c] : 1;
+        loop.done[c] && loop.measuring ? loop.finish_cycle[c] : cores_[c]->cycle();
+    const CpuCycle cycles =
+        end_cycle > loop.base_cycle[c] ? end_cycle - loop.base_cycle[c] : 1;
     cr.finish_cycle = end_cycle;
     cr.ipc = static_cast<double>(target_insts) / static_cast<double>(cycles);
     cr.avg_read_latency_cpu = result.controller_stats.core_read_latency_cpu[c].mean();
@@ -445,7 +451,7 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     cr.core_stats = cores_[c]->stats();
     total_bytes += (cr.dram_reads + cr.dram_writes) * kLineBytes;
   }
-  const Tick measure_ticks = t > t_measure_start ? t - t_measure_start : 1;
+  const Tick measure_ticks = t > loop.t_measure_start ? t - loop.t_measure_start : 1;
   const double seconds = static_cast<double>(measure_ticks) / config_.bus_hz();
   result.bandwidth_gbs = static_cast<double>(total_bytes) / seconds / 1e9;
 
@@ -572,7 +578,6 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
   std::vector<std::vector<double>> core_ipc_samples(n);
   std::vector<double> ipc_samples, lat_samples, rhr_samples, bw_samples,
       util_samples, ratio_samples;
-  std::vector<CpuCycle> base_cycle(n, 0);
   std::uint64_t measured_insts = 0;
   std::uint64_t skipped_insts = warmup_insts;
   bool hit_limit = false;
@@ -586,7 +591,7 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
     hierarchy_->reset_stats();
     for (std::uint32_t c = 0; c < n; ++c) {
       cores_[c]->reset_stats();
-      base_cycle[c] = cores_[c]->cycle();
+      loop.base_cycle[c] = cores_[c]->cycle();
       loop.epoch_insts[c] = cores_[c]->committed();
       loop.epoch_bytes[c] = 0;
     }
@@ -598,8 +603,8 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
     }
     double ipc_sum = 0.0, ipc_min = 0.0, ipc_max = 0.0;
     for (std::uint32_t c = 0; c < n; ++c) {
-      const CpuCycle cycles = loop.finish_cycle[c] > base_cycle[c]
-                                  ? loop.finish_cycle[c] - base_cycle[c]
+      const CpuCycle cycles = loop.finish_cycle[c] > loop.base_cycle[c]
+                                  ? loop.finish_cycle[c] - loop.base_cycle[c]
                                   : 1;
       const double ipc = static_cast<double>(meas) / static_cast<double>(cycles);
       core_ipc_samples[c].push_back(ipc);

@@ -68,7 +68,7 @@ struct RunResult {
   double avg_read_latency_cpu = 0.0; ///< all cores
   double row_hit_rate = 0.0;
   double data_bus_utilization = 0.0;
-  double bandwidth_gbs = 0.0;        ///< DRAM traffic over the whole run
+  double bandwidth_gbs = 0.0;        ///< DRAM traffic over the measurement window
   bool hit_tick_limit = false;
   mc::ControllerStats controller_stats{};  ///< full snapshot
 
@@ -148,9 +148,10 @@ class MultiCoreSystem {
   RunResult run_sampled(std::uint64_t target_insts, std::uint64_t warmup_insts,
                         Tick max_ticks, const ckpt::CheckpointPolicy& policy);
 
-  /// Loop state of one closed-loop run, carried from tick to tick: per-core
-  /// phase goals and completion, epoch-roll baselines, progress watchdogs
-  /// and the visited-tick count.
+  /// Loop state of one closed-loop run, carried from tick to tick: the tick
+  /// position and phase, per-core phase goals and completion, epoch-roll
+  /// baselines, progress watchdogs and the visited-tick count. run()
+  /// checkpoints it through its save_state/load_state pair.
   struct TickState;
 
   /// Visits bus tick `t`, the tick body run() and run_sampled() share: ticks

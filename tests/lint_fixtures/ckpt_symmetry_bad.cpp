@@ -1,6 +1,7 @@
 // lint-as: src/fixture/ckpt_symmetry_bad.cpp
 // Fixture: ckpt-symmetry catches the three asymmetry shapes — reordered
-// field sequence, mismatched field count, and a member the load side drops.
+// field sequence, mismatched field count, and a member the load side drops —
+// also inside a class defined through a qualified head (`struct A::B {`).
 
 namespace ckpt {
 class Writer;
@@ -82,3 +83,32 @@ void Dropped::load_state(ckpt::Reader& r) {  // expect-lint: ckpt-symmetry
 }
 
 }  // namespace fixture2
+
+// Shape 4 (qualified class head): a nested class defined outside its
+// enclosing class still owns its inline save/load bodies, so the truncated
+// load side is caught as in Shape 2.
+namespace fixture3 {
+
+struct Outer {
+  struct Inner;
+};
+
+struct Outer::Inner {
+  void save_state(ckpt::Writer& w) const {
+    put_u64(w, cursor);
+    put_u64(w, limit);
+  }
+  void load_state(ckpt::Reader& r) {  // expect-lint: ckpt-symmetry
+    get_u64(r, cursor);
+  }
+
+  template <class W, class T>
+  static void put_u64(W&, const T&) {}
+  template <class R, class T>
+  static void get_u64(R&, T&) {}
+
+  unsigned long long cursor = 0;
+  unsigned long long limit = 0;
+};
+
+}  // namespace fixture3

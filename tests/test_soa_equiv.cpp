@@ -276,7 +276,6 @@ TEST(SoaCkpt, ResumeDuringQueueChurnIsByteIdentical) {
 
   ckpt::CheckpointPolicy resume;
   resume.path = path;
-  resume.resume = true;
   EXPECT_EQ(uninterrupted, run_one(resume));
   std::remove(path.c_str());
 }

@@ -449,6 +449,8 @@ struct SerFunc {
         in_bases = true;
         continue;
       }
+      // `struct Outer::Inner {`: the last identifier names the class.
+      if (t.text == "::") continue;
       if (t.text == "{") {
         if (!name.empty()) out[j] = name;
         break;
