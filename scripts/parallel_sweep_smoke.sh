@@ -1,15 +1,16 @@
 #!/bin/sh
 # Parallel sweep smoke: proves the N-way process pool's contracts on real
-# binaries (the unit tests emulate workers in-process; this script uses real
-# processes and real signals).
+# binaries (the unit tests use small synthetic point bodies; this script uses
+# real simulations and real signals).
 #
-#   1. The determinism contract: the same grid swept at jobs=4 and jobs=1
-#      must produce byte-identical manifests and reports — completion order,
-#      dispatch order, and pool width must never leak into the output.
+#   1. The determinism contract: the same grid swept by a pool of width 4
+#      and a pool of width 1 must produce byte-identical manifests and
+#      reports — completion order, dispatch order, and pool width must never
+#      leak into the output.
 #   2. Worker loss: one worker child SIGKILLed mid-pool is recorded as a
 #      crash gap, the rest of the sweep completes; the next invocation
 #      re-runs ONLY the lost point (resuming from its snapshot) and the
-#      repaired report is byte-identical to an uninterrupted serial run.
+#      repaired report is byte-identical to an uninterrupted width-1 run.
 #   3. Graceful stop: SIGTERM to the sweep fans out to every live worker,
 #      each parks its state, the sweep exits with the "interrupted" contract
 #      code (6), and the resume is byte-identical.

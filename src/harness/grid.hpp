@@ -60,7 +60,7 @@ struct GridSpec {
 /// points.
 [[nodiscard]] std::string config_fingerprint(const GridSpec& spec);
 
-/// Builds the PointSpec list for the grid: one isolated, checkpointable,
+/// Builds the PointSpec list for the grid: one forked, checkpointable,
 /// cost-hinted point per (workload, scheme) pair, identical to what
 /// `memsched_sweep grid` runs.
 [[nodiscard]] std::vector<PointSpec> grid_points(const GridSpec& spec);

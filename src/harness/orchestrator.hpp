@@ -1,20 +1,21 @@
-// Fault-tolerant sweep orchestrator with an N-way process pool.
+// Fault-tolerant sweep orchestrator: one N-way process pool.
 //
-// Runs a list of experiment points, each in an isolated forked child, under a
-// wall-clock watchdog. With jobs > 1 up to N children run concurrently,
-// reaped by a non-blocking waitpid loop and dispatched longest-expected-first
-// (per-point cost model: timing history of prior runs, falling back to the
-// caller's static hint). A hung point is SIGKILLed and recorded as a
-// structured "timeout" failure; a crashed point records its signal; a point
-// that exits with one of the exit_codes.hpp codes records that diagnosis.
-// Failed points are retried a bounded number of times with backoff, then
-// recorded and *skipped* — the rest of the sweep still completes and the
-// final report marks the gaps. After every completed point the manifest is
-// checkpointed (records index-sorted, so the bytes never depend on completion
-// order), which gives the determinism contract: manifest and report are
-// byte-identical for jobs=1 and jobs=N, across kills and resumes. Wall-clock
-// timing lives in sidecar files (<manifest>.timing.json) and the timing
-// report, never in the manifest or report themselves.
+// Runs a list of experiment points, each in its own forked child, under a
+// wall-clock watchdog. Up to N children run concurrently (N = 1 is simply a
+// pool of width one), reaped by a non-blocking waitpid loop and dispatched
+// longest-expected-first (per-point cost model: timing history of prior
+// runs, falling back to the caller's static hint). A hung point is SIGKILLed
+// and recorded as a structured "timeout" failure; a crashed point records
+// its signal; a point that exits with one of the exit_codes.hpp codes
+// records that diagnosis. Failed points are retried a bounded number of
+// times with backoff, then recorded and *skipped* — the rest of the sweep
+// still completes and the final report marks the gaps. After every completed
+// point the manifest is checkpointed (records index-sorted, so the bytes
+// never depend on completion order), which gives the determinism contract:
+// manifest and report are byte-identical at any jobs= width, across kills
+// and resumes. Wall-clock timing lives in sidecar files
+// (<manifest>.timing.json) and the timing report, never in the manifest or
+// report themselves.
 #pragma once
 
 #include <sys/types.h>
@@ -38,9 +39,9 @@ class ResultCache;
 
 namespace memsched::harness {
 
-/// One experiment point. Either an in-process body returning the point's
-/// JSON result (run inside a forked child when isolation is on), or an
-/// external command in `argv` (fork + exec; takes precedence when set).
+/// One experiment point, always run in a forked child. Either a body
+/// returning the point's JSON result (called in the child), or an external
+/// command in `argv` (fork + exec; takes precedence when set).
 ///
 /// `body_ckpt`, when set, is preferred over `body`: it receives a per-point
 /// checkpoint directory (work_dir/point-<i>.ckpt.d) that survives watchdog
@@ -89,19 +90,12 @@ struct OrchestratorConfig {
   /// Optional deterministic fault source armed around the cache's own
   /// filesystem I/O (and nothing else) — chaos testing the degraded modes.
   util::FsFaultHooks* cache_faults = nullptr;
-  bool isolate = true;   ///< fork per point; false = in-process (no timeout or
-                         ///< crash shielding — unit tests and debugging only)
   bool verbose = true;   ///< per-point progress lines on stderr
 
-  /// Process-pool width. 0 = auto: MEMSCHED_JOBS from the environment, else
-  /// hardware_concurrency. 1 = serial. N > 1 keeps up to N forked points in
-  /// flight (requires isolate; in-process execution is always serial).
+  /// Process-pool width: up to this many forked points in flight, dispatched
+  /// longest-expected-first at every width. 0 = auto: MEMSCHED_JOBS from the
+  /// environment, else hardware_concurrency.
   std::uint32_t jobs = 1;
-
-  /// Test hook: abandon the sweep after this many *executed* (not resumed)
-  /// points — simulates a mid-sweep kill without the signal plumbing.
-  /// Forces serial execution (the count is only meaningful in point order).
-  std::uint32_t stop_after = 0;
 
   /// Cooperative graceful-stop flag (typically ckpt::stop_flag(), set by the
   /// SIGTERM/SIGINT handler). When it fires, every running child is
@@ -119,13 +113,12 @@ struct SweepSummary {
   std::size_t resumed = 0;   ///< replayed from the manifest, not re-run
   std::size_t cache_hits = 0;  ///< served from the result cache, not re-run
   std::size_t executed = 0;  ///< actually run this invocation
-  bool abandoned = false;    ///< stop_after hook tripped
   bool interrupted = false;  ///< graceful stop (SIGTERM/SIGINT) ended the sweep
   std::uint32_t jobs = 1;    ///< resolved pool width this run
   double wall_ms = 0.0;      ///< end-to-end wall clock of run()
 
   [[nodiscard]] bool complete() const {
-    return !abandoned && !interrupted && ok + failed == total;
+    return !interrupted && ok + failed == total;
   }
 };
 
@@ -139,9 +132,9 @@ class Orchestrator {
   ~Orchestrator();  // out of line: ResultCache is forward-declared here
 
   /// Runs (or resumes) the sweep. Points whose manifest record is already
-  /// "ok" are skipped; previously failed points are re-attempted. With
-  /// jobs > 1 (and isolation on) points run in an N-way process pool;
-  /// manifest and report bytes are identical either way.
+  /// "ok" are skipped; previously failed points are re-attempted. Points run
+  /// in the process pool at width resolve_jobs(jobs); manifest and report
+  /// bytes are identical at every width.
   SweepSummary run(const std::vector<PointSpec>& points);
 
   [[nodiscard]] const Manifest& manifest() const { return manifest_; }
@@ -151,9 +144,8 @@ class Orchestrator {
 
   /// Deterministic sweep report: recorded payloads are spliced back verbatim
   /// and wall-clock fields are excluded, so an interrupted-and-resumed sweep
-  /// — serial or pooled — dumps byte-identical output to an uninterrupted
-  /// serial one. Failed points are listed with their diagnosis and
-  /// summarized as gaps.
+  /// dumps byte-identical output to an uninterrupted one at any width.
+  /// Failed points are listed with their diagnosis and summarized as gaps.
   [[nodiscard]] util::Json report() const;
 
   /// Machine-readable wall-clock record of the last run(): per-point wall
@@ -170,13 +162,7 @@ class Orchestrator {
     std::string stderr_path;
   };
 
-  SweepSummary run_serial(const std::vector<PointSpec>& points);
   SweepSummary run_pool(const std::vector<PointSpec>& points, std::uint32_t jobs);
-
-  PointRecord execute_point(const PointSpec& point, std::size_t index);
-  PointRecord run_attempt(const PointSpec& point, std::size_t index);
-  PointRecord run_forked(const PointSpec& point, std::size_t index);
-  PointRecord run_inline(const PointSpec& point, std::size_t index);
 
   /// Forks one child for `point`; the child never returns (it _exits with a
   /// contract code). Returns the child pid, or -1 with errno set.
@@ -200,9 +186,8 @@ class Orchestrator {
 
   /// Cache lookup for one point; on a hit, commits the spliced record (ok,
   /// attempt 1 — byte-identical to a cold first-try success) and updates
-  /// `summary`. `shown` is the 1-based position for the progress line.
-  bool cache_lookup(const PointSpec& point, std::size_t index,
-                    SweepSummary& summary, std::size_t shown);
+  /// `summary`.
+  bool cache_lookup(const PointSpec& point, std::size_t index, SweepSummary& summary);
 
   [[nodiscard]] std::string timing_path() const;
 
