@@ -55,53 +55,88 @@ struct TimedRun {
   double wall_s = 0.0;
   Tick ticks = 0;
   Tick visited = 0;
+  std::uint64_t core_cycles_stepped = 0;  ///< host work: all cores, whole run
   std::string record;  ///< serialized result, for the equality check
+};
+
+struct TimedPair {
+  TimedRun cycle;
+  TimedRun skip;
+  double speedup = 0.0;  ///< median over repetitions of cycle wall / skip wall
 };
 
 // Wall time is the min over at least `reps` fresh runs (best-of-N): the
 // simulation is deterministic, so the minimum is the least-noise estimate of
 // its cost. Short runs get extra repetitions so every case accumulates
-// roughly 150 ms of sampling — a single descheduling blip on a 10 ms run
-// would otherwise swing the reported ratio by tens of percent.
+// roughly 500 ms of sampling per engine — a single descheduling blip on a
+// 10 ms run would otherwise swing the reported ratio by tens of percent.
 int reps_for(double first_wall_s, int reps) {
-  const int by_time = static_cast<int>(0.15 / std::max(first_wall_s, 1e-4));
+  const int by_time = static_cast<int>(0.5 / std::max(first_wall_s, 1e-4));
   return std::max(reps, std::min(12, by_time));
 }
 
-TimedRun time_closed(const BenchSetup& setup, const sim::Workload& w,
-                     const std::string& scheme, sim::Engine engine, int reps) {
-  sim::SystemConfig cfg = setup.experiment.base;
-  cfg.cores = w.cores();
-  cfg.engine = engine;
-  TimedRun out;
+// Times both engines on one case, alternating cycle and skip runs within
+// each repetition (and which goes first), so both runs of a repetition see
+// the same host speed. The speedup is the median of the per-repetition
+// ratios: a host slowdown then cancels within its repetition instead of
+// landing on whichever engine's best run it happened to spoil.
+// `run_once(engine)` times one fresh run and returns it.
+template <class RunOnce>
+TimedPair time_pair(RunOnce run_once, int reps) {
+  TimedPair out;
+  std::vector<double> ratios;
   for (int i = 0; i < reps; ++i) {
+    const bool skip_first = i % 2 == 1;
+    double wall_cycle = 0.0, wall_skip = 0.0;
+    for (const sim::Engine engine : {skip_first ? sim::Engine::kSkip : sim::Engine::kCycle,
+                                     skip_first ? sim::Engine::kCycle : sim::Engine::kSkip}) {
+      TimedRun r = run_once(engine);
+      const bool is_cycle = engine == sim::Engine::kCycle;
+      (is_cycle ? wall_cycle : wall_skip) = r.wall_s;
+      TimedRun& slot = is_cycle ? out.cycle : out.skip;
+      if (i > 0) r.wall_s = std::min(r.wall_s, slot.wall_s);
+      slot = std::move(r);
+    }
+    ratios.push_back(wall_cycle / wall_skip);
+    if (i == 0) reps = reps_for(std::min(out.cycle.wall_s, out.skip.wall_s), reps);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t m = ratios.size() / 2;
+  out.speedup = ratios.size() % 2 ? ratios[m] : 0.5 * (ratios[m - 1] + ratios[m]);
+  return out;
+}
+
+TimedPair time_closed(const BenchSetup& setup, const sim::Workload& w,
+                      const std::string& scheme, int reps) {
+  return time_pair([&](sim::Engine engine) {
+    sim::SystemConfig cfg = setup.experiment.base;
+    cfg.cores = w.cores();
+    cfg.engine = engine;
     const sched::SchedulerPtr s = scheduler_for(scheme, cfg.cores);
     sim::MultiCoreSystem sys(cfg, w.apps(), *s, setup.experiment.eval_seed);
     const auto t0 = util::monotonic_now();
     const sim::RunResult r = sys.run(setup.experiment.eval_insts,
                                      setup.experiment.warmup_insts);
-    const double wall = seconds_since(t0);
-    if (i == 0) reps = reps_for(wall, reps);
-    if (i == 0 || wall < out.wall_s) out.wall_s = wall;
+    TimedRun out;
+    out.wall_s = seconds_since(t0);
     out.ticks = r.ticks;
     out.visited = r.visited_ticks;
+    for (CoreId c = 0; c < cfg.cores; ++c)
+      out.core_cycles_stepped += sys.core(c).cycles_stepped();
     out.record = sim::to_json(r).dump();
-  }
-  return out;
+    return out;
+  }, reps);
 }
 
-TimedRun time_open(const sim::OpenLoopConfig& base, const std::string& scheme,
-                   sim::Engine engine, int reps) {
-  sim::OpenLoopConfig cfg = base;
-  cfg.engine = engine;
-  TimedRun out;
-  for (int i = 0; i < reps; ++i) {
+TimedPair time_open(const sim::OpenLoopConfig& base, const std::string& scheme, int reps) {
+  return time_pair([&](sim::Engine engine) {
+    sim::OpenLoopConfig cfg = base;
+    cfg.engine = engine;
     const sched::SchedulerPtr s = scheduler_for(scheme, cfg.cores);
     const auto t0 = util::monotonic_now();
     const sim::OpenLoopResult r = sim::run_open_loop(cfg, *s);
-    const double wall = seconds_since(t0);
-    if (i == 0) reps = reps_for(wall, reps);
-    if (i == 0 || wall < out.wall_s) out.wall_s = wall;
+    TimedRun out;
+    out.wall_s = seconds_since(t0);
     out.ticks = cfg.warmup_ticks + cfg.measure_ticks;
     char buf[256];
     std::snprintf(buf, sizeof buf, "%.17g %.17g %.17g %.17g %.17g %.17g %.17g",
@@ -109,8 +144,8 @@ TimedRun time_open(const sim::OpenLoopConfig& base, const std::string& scheme,
                   r.avg_read_latency_ticks, r.p50_ticks, r.p90_ticks,
                   r.p99_ticks, r.row_hit_rate);
     out.record = buf;
-  }
-  return out;
+    return out;
+  }, reps);
 }
 
 int run_bench(int argc, char** argv) {
@@ -149,15 +184,14 @@ int run_bench(int argc, char** argv) {
               "bus ticks", "visited", "cycle(s)", "skip(s)", "speedup");
   double busy_wall_s = 0.0;   // non-idle-heavy closed-loop skip walls
   double busy_ticks = 0.0;
+  double busy_stepped = 0.0;  // core cycles stepped, skip engine
   for (const auto& [wname, scheme] : kClosed) {
     const sim::Workload& w = sim::workload_by_name(wname);
-    const TimedRun cyc = time_closed(setup, w, scheme, sim::Engine::kCycle, reps);
-    const TimedRun skp = time_closed(setup, w, scheme, sim::Engine::kSkip, reps);
+    const auto [cyc, skp, speedup] = time_closed(setup, w, scheme, reps);
     const bool same = cyc.record == skp.record;
     all_identical = all_identical && same;
     const double share =
         static_cast<double>(skp.visited) / static_cast<double>(skp.ticks);
-    const double speedup = cyc.wall_s / skp.wall_s;
     std::printf("  %-8s %-8s %12llu %7.0f%% %9.3f %9.3f %7.2fx%s\n",
                 wname.c_str(), scheme.c_str(),
                 static_cast<unsigned long long>(skp.ticks), share * 100.0,
@@ -176,6 +210,7 @@ int run_bench(int argc, char** argv) {
     e["idle_heavy"] = false;
     busy_wall_s += skp.wall_s;
     busy_ticks += static_cast<double>(skp.ticks);
+    busy_stepped += static_cast<double>(skp.core_cycles_stepped);
     closed.push_back(e);
     csv.row({"closed", wname, scheme, std::to_string(skp.ticks),
              util::fmt(share, 4), util::fmt(cyc.wall_s, 4),
@@ -203,11 +238,9 @@ int run_bench(int argc, char** argv) {
     cfg.warmup_ticks = 20'000;
     cfg.measure_ticks = ol_ticks;
     cfg.seed = setup.experiment.eval_seed;
-    const TimedRun cyc = time_open(cfg, "HF-RF", sim::Engine::kCycle, reps);
-    const TimedRun skp = time_open(cfg, "HF-RF", sim::Engine::kSkip, reps);
+    const auto [cyc, skp, speedup] = time_open(cfg, "HF-RF", reps);
     const bool same = cyc.record == skp.record;
     all_identical = all_identical && same;
-    const double speedup = cyc.wall_s / skp.wall_s;
     std::printf("  %-8.2f %12llu %9.3f %9.3f %7.2fx%s%s\n", oc.load,
                 static_cast<unsigned long long>(skp.ticks), cyc.wall_s,
                 skp.wall_s, speedup, oc.idle_heavy ? "  (idle-heavy)" : "",
@@ -234,13 +267,18 @@ int run_bench(int argc, char** argv) {
   doc["all_results_identical"] = all_identical;
   // The hot-path metric the baseline ratchet tracks explicitly: aggregate
   // skip-engine wall and throughput over the busy closed-loop cases, where
-  // the per-tick controller/core path (not idle skipping) is the cost.
+  // the per-tick controller/core path (not idle skipping) is the cost. The
+  // stepped-cycle count is its machine-independent twin: core cycles the
+  // model simulated one at a time instead of jumping, per simulated tick.
   util::Json busy = util::Json::object();
   busy["wall_s_skip"] = busy_wall_s;
   busy["mticks_per_s"] = busy_ticks / std::max(busy_wall_s, 1e-9) / 1e6;
+  busy["core_cycles_stepped_per_tick"] = busy_stepped / std::max(busy_ticks, 1.0);
   doc["busy_load"] = std::move(busy);
-  std::printf("\nbusy-load aggregate (closed loop, skip engine): %.3f s, %.2f Mticks/s\n",
-              busy_wall_s, busy_ticks / std::max(busy_wall_s, 1e-9) / 1e6);
+  std::printf("\nbusy-load aggregate (closed loop, skip engine): %.3f s, %.2f Mticks/s, "
+              "%.2f core cycles stepped per tick\n",
+              busy_wall_s, busy_ticks / std::max(busy_wall_s, 1e-9) / 1e6,
+              busy_stepped / std::max(busy_ticks, 1.0));
   doc.write_file(out_path);
   std::printf("\nwrote %s; gate with scripts/check_throughput.py against\n"
               "bench/baselines/sim_throughput_baseline.json.\n", out_path.c_str());

@@ -14,6 +14,9 @@ against the checked-in baseline and fails on:
   * a visited-tick share more than 10% above baseline on closed-loop cases
     (a deterministic signal that the engine stopped skipping spans it used
     to skip, independent of machine speed);
+  * busy-load core cycles stepped per tick more than 10% above baseline
+    (host work per simulated tick: the core model stopped jumping blocked
+    spans it used to jump; deterministic, like the visited share);
   * any idle-heavy open-loop case below the absolute speedup floor the
     engine is required to deliver on low-MLP workloads (1.5x: the skip
     engine must still pay for itself; the floor used to be 3x, but the
@@ -26,9 +29,9 @@ against the checked-in baseline and fails on:
 
 Ratchet mode (--update-baseline) rewrites the baseline from a fresh bench
 run. It applies the deterministic checks (engine equivalence, visited-tick
-share) but not the wall-clock-ratio comparisons — those compare against a
-baseline that may have been recorded on a different machine, which is
-exactly what the update exists to refresh. What it does enforce is that
+share, stepped cycles per tick) but not the wall-clock-ratio comparisons —
+those compare against a baseline that may have been recorded on a
+different machine, which is exactly what the update exists to refresh. What it does enforce is that
 the ratchet only moves DOWN: the update is refused (exit 1) when the fresh
 busy-load throughput regresses more than 10% against the committed
 baseline, so a slower hot path can never silently loosen the gate
@@ -44,6 +47,7 @@ import sys
 
 SPEEDUP_TOLERANCE = 0.90      # >10% regression fails
 VISITED_TOLERANCE = 1.10      # >10% more visited ticks fails
+WORK_TOLERANCE = 1.10         # >10% more core cycles stepped per tick fails
 IDLE_HEAVY_FLOOR = 1.5        # required speedup on idle-heavy cases
 RATCHET_TOLERANCE = 0.90      # busy mticks/s may not drop >10% on update
 STALE_FACTOR = 1.50           # fresh busy mticks/s >1.5x baseline => stale
@@ -61,6 +65,10 @@ def index(doc, section):
 
 def busy_mticks(doc):
     return doc.get("busy_load", {}).get("mticks_per_s")
+
+
+def busy_stepped(doc):
+    return doc.get("busy_load", {}).get("core_cycles_stepped_per_tick")
 
 
 def gate_failures(bench, base, check_stale=True, check_wall_clock=True):
@@ -94,6 +102,13 @@ def gate_failures(bench, base, check_stale=True, check_wall_clock=True):
                 failures.append(
                     f"{section} {k}: idle-heavy speedup {e['speedup']:.2f}x "
                     f"below the {IDLE_HEAVY_FLOOR:.1f}x floor")
+
+    fresh_work, base_work = busy_stepped(bench), busy_stepped(base)
+    if fresh_work is not None and base_work is not None:
+        if fresh_work > base_work * WORK_TOLERANCE:
+            failures.append(
+                f"busy-load core cycles stepped per tick {fresh_work:.3f} "
+                f"grew >10% over baseline {base_work:.3f}")
 
     if check_stale:
         fresh_busy, base_busy = busy_mticks(bench), busy_mticks(base)

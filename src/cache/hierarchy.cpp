@@ -151,9 +151,8 @@ void CacheHierarchy::l2_insert_writeback(CoreId core, Addr victim_line) {
 
 void CacheHierarchy::tick(Tick now) {
   // Dispatch MSHR fills the controller previously back-pressured.
-  l2_mshr_.for_each_undispatched([&](MshrEntry& e) {
-    if (controller_.enqueue_read(e.requester, e.line_addr, now, e.prefetch))
-      e.dispatched = true;
+  l2_mshr_.dispatch_undispatched([&](const MshrEntry& e) {
+    return controller_.enqueue_read(e.requester, e.line_addr, now, e.prefetch);
   });
   // Drain writebacks while the controller accepts them.
   while (!writeback_q_.empty()) {

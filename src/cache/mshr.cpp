@@ -28,6 +28,7 @@ MshrEntry* MshrFile::allocate(Addr line_addr, CoreId requester) {
       e.requester = requester;
       e.waiters.clear();
       ++used_;
+      ++undispatched_;
       ++allocations_;
       return &e;
     }
@@ -43,16 +44,11 @@ bool MshrFile::release(Addr line_addr, std::vector<std::uint64_t>& waiters_out) 
       e.waiters.clear();
       MEMSCHED_ASSERT(used_ > 0, "MSHR accounting underflow");
       --used_;
+      if (!e.dispatched) --undispatched_;
       return true;
     }
   }
   return false;
-}
-
-void MshrFile::for_each_undispatched(const std::function<void(MshrEntry&)>& fn) {
-  for (MshrEntry& e : entries_) {
-    if (e.valid && !e.dispatched) fn(e);
-  }
 }
 
 void MshrFile::reset() {
@@ -61,6 +57,7 @@ void MshrFile::reset() {
     e.waiters.clear();
   }
   used_ = 0;
+  undispatched_ = 0;
   allocations_ = 0;
   merges_ = 0;
 }
@@ -85,6 +82,7 @@ void MshrFile::load_state(ckpt::Reader& r) {
   if (n != entries_.size()) {
     throw ckpt::SnapshotError("snapshot: MSHR capacity mismatch");
   }
+  undispatched_ = 0;
   for (MshrEntry& e : entries_) {
     e.line_addr = r.get_u64();
     e.valid = r.get_bool();
@@ -92,6 +90,7 @@ void MshrFile::load_state(ckpt::Reader& r) {
     e.prefetch = r.get_bool();
     e.requester = r.get_u32();
     e.waiters = r.get_u64_vec();
+    if (e.valid && !e.dispatched) ++undispatched_;
   }
   used_ = r.get_u32();
   allocations_ = r.get_u64();

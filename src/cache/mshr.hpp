@@ -5,8 +5,9 @@
 // packs (core, load tag) into them and is called back when the fill returns.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "util/types.hpp"
@@ -21,7 +22,9 @@ namespace memsched::cache {
 struct MshrEntry {
   Addr line_addr = 0;
   bool valid = false;
-  bool dispatched = false;  ///< request accepted by the memory controller
+  /// Request accepted by the memory controller. Written only by MshrFile,
+  /// which keeps a count of the entries still awaiting dispatch.
+  bool dispatched = false;
   bool prefetch = false;    ///< allocated by the stream prefetcher
   CoreId requester = kInvalidCore;  ///< core whose miss allocated the entry
   std::vector<std::uint64_t> waiters;
@@ -50,16 +53,23 @@ class MshrFile {
   /// (appended). Returns false if no such entry exists.
   bool release(Addr line_addr, std::vector<std::uint64_t>& waiters_out);
 
-  /// Entries not yet dispatched to the controller (back-pressure retry set).
-  void for_each_undispatched(const std::function<void(MshrEntry&)>& fn);
+  /// Offer each entry not yet dispatched to the controller (the
+  /// back-pressure retry set) to `try_dispatch`, in entry-index order, and
+  /// mark dispatched each one it accepts (returns true for). Returns at
+  /// once when the retry set is empty.
+  template <class TryDispatch>
+  void dispatch_undispatched(TryDispatch&& try_dispatch) {
+    for (std::size_t i = 0; undispatched_ > 0 && i < entries_.size(); ++i) {
+      MshrEntry& e = entries_[i];
+      if (e.valid && !e.dispatched && try_dispatch(std::as_const(e))) {
+        e.dispatched = true;
+        --undispatched_;
+      }
+    }
+  }
 
   /// True when some entry still awaits dispatch (the retry set is non-empty).
-  [[nodiscard]] bool any_undispatched() const {
-    for (const MshrEntry& e : entries_) {
-      if (e.valid && !e.dispatched) return true;
-    }
-    return false;
-  }
+  [[nodiscard]] bool any_undispatched() const { return undispatched_ > 0; }
 
   void reset();
 
@@ -75,6 +85,7 @@ class MshrFile {
  private:
   std::vector<MshrEntry> entries_;
   std::uint32_t used_ = 0;
+  std::uint32_t undispatched_ = 0;  ///< valid && !dispatched; derived, not saved
   std::uint64_t allocations_ = 0;
   std::uint64_t merges_ = 0;
 };

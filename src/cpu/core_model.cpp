@@ -16,23 +16,25 @@ CoreModel::CoreModel(CoreId id, const CoreConfig& cfg, double dispatch_ipc,
       dispatch_ipc_(dispatch_ipc),
       stream_(stream),
       hierarchy_(hierarchy),
+      ifetch_(cfg.model_ifetch && stream.code_bytes() != 0),
       insts_to_next_line_(cfg.insts_per_fetch_line) {
   MEMSCHED_ASSERT(dispatch_ipc > 0.0, "dispatch IPC must be positive");
   MEMSCHED_ASSERT(cfg.issue_width > 0 && cfg.rob_entries > 0, "invalid core config");
 }
 
 bool CoreModel::last_load_complete() const {
-  if (!last_load_tracked_) return true;  // it was an L1 hit (or none yet)
-  for (const OutstandingLoad& o : outstanding_) {
-    if (o.token == last_load_token_)
-      return o.done != kPending && o.done <= cycle_;
-  }
-  return true;  // already retired from the list
+  // An L1 hit (or no load yet), or already retired: the list pops only from
+  // the front, so once the newest entry retires the list is empty.
+  if (!last_load_tracked_ || outstanding_.empty()) return true;
+  const OutstandingLoad& last = outstanding_.back();
+  MEMSCHED_ASSERT(last.token == last_load_token_, "tracked load is not the newest entry");
+  return last.done <= cycle_;  // kPending never is
 }
 
-void CoreModel::do_ifetch_accounting() {
-  if (!cfg_.model_ifetch || stream_.code_bytes() == 0) return;
-  if (--insts_to_next_line_ > 0) return;
+void CoreModel::advance_fetch(std::uint32_t n) {
+  if (!ifetch_) return;
+  insts_to_next_line_ -= n;
+  if (insts_to_next_line_ > 0) return;
   insts_to_next_line_ = cfg_.insts_per_fetch_line;
   const Addr addr = stream_.code_base() + code_pos_;
   code_pos_ = (code_pos_ + kLineBytes) % stream_.code_bytes();
@@ -63,10 +65,6 @@ bool CoreModel::try_issue_one() {
     ++stats_.stall_rob;
     last_stall_ = StallKind::kRob;
     return false;
-  }
-  if (!have_pending_rec_) {
-    pending_rec_ = stream_.next();
-    have_pending_rec_ = true;
   }
   const trace::InstRecord& rec = pending_rec_;
 
@@ -149,8 +147,25 @@ bool CoreModel::try_issue_one() {
 
   have_pending_rec_ = false;
   ++issue_num_;
-  do_ifetch_accounting();
+  advance_fetch(1);
   return true;
+}
+
+bool CoreModel::dispatch_gap() {
+  // Every drawn instruction issues this cycle or is the held reference, as
+  // with one draw per instruction: compute never blocks, the ROB and budget
+  // bound the batch, and the only fetch-line boundary is at its end.
+  std::uint64_t k = std::min<std::uint64_t>(static_cast<std::uint64_t>(budget_),
+                                            cfg_.rob_entries - (issue_num_ - commit_num_));
+  if (ifetch_) k = std::min<std::uint64_t>(k, insts_to_next_line_);
+  const std::uint64_t drawn = stream_.next_ref(k, pending_rec_);
+  have_pending_rec_ = pending_rec_.cls != trace::InstClass::kCompute;
+  const std::uint64_t computes = drawn - (have_pending_rec_ ? 1 : 0);
+  issue_num_ += computes;
+  // One subtraction per instruction keeps budget_ bit-identical.
+  for (std::uint64_t i = 0; i < computes; ++i) budget_ -= 1.0;
+  advance_fetch(static_cast<std::uint32_t>(computes));
+  return !have_pending_rec_;
 }
 
 void CoreModel::account_stall_span(CpuCycle span) {
@@ -180,6 +195,33 @@ void CoreModel::account_stall_span(CpuCycle span) {
   }
 }
 
+CpuCycle CoreModel::blocked_wake() const {
+  // kPending equals kIdle, so a pending `done` or frontend_ready_ is
+  // already "no known event" under std::min.
+  static_assert(kPending == kIdle);
+  CpuCycle next_event = kIdle;
+  switch (last_stall_) {
+    case StallKind::kRob:
+    case StallKind::kMshr:
+      // Both clear only when the head load retires: commit is capped at its
+      // inst_num, and outstanding_ pops only from the front.
+      next_event = outstanding_.front().done;
+      break;
+    case StallKind::kDep:
+      // The dependence clears when the tracked last load (the newest entry)
+      // completes; the head's retirement moves commit before that.
+      next_event = std::min(outstanding_.front().done, outstanding_.back().done);
+      break;
+    default:
+      // Any known completion. A stale one (done <= cycle_) can unblock a
+      // dependence next cycle, so it pins next_event and forbids the jump.
+      for (const OutstandingLoad& o : outstanding_) next_event = std::min(next_event, o.done);
+      break;
+  }
+  if (frontend_stalled()) next_event = std::min(next_event, frontend_ready_);
+  return next_event;
+}
+
 void CoreModel::step_to(CpuCycle target_cpu) {
   self_wake_ = target_cpu;  // active unless the window ends provably blocked
   if (paused_) {
@@ -187,6 +229,7 @@ void CoreModel::step_to(CpuCycle target_cpu) {
     // nothing, accrue no stall statistics (the next interval's warmup+reset
     // would wipe them anyway, but keeping them clean avoids surprises).
     while (cycle_ < target_cpu) {
+      ++cycles_stepped_;
       while (!outstanding_.empty() && outstanding_.front().done != kPending &&
              outstanding_.front().done <= cycle_) {
         outstanding_.pop_front();
@@ -203,6 +246,7 @@ void CoreModel::step_to(CpuCycle target_cpu) {
     return;
   }
   while (cycle_ < target_cpu) {
+    ++cycles_stepped_;
     // Retire loads whose data has arrived (front of the program-order list).
     while (!outstanding_.empty() && outstanding_.front().done != kPending &&
            outstanding_.front().done <= cycle_) {
@@ -217,39 +261,39 @@ void CoreModel::step_to(CpuCycle target_cpu) {
 
     // Dispatch.
     bool issue_blocked = false;
-    if (frontend_ready_ == kPending || frontend_ready_ > cycle_) {
+    if (frontend_stalled()) {
       ++stats_.stall_frontend;
       last_stall_ = StallKind::kFrontend;
       issue_blocked = true;
     } else {
       budget_ = std::min(budget_ + dispatch_ipc_, static_cast<double>(cfg_.issue_width));
       while (budget_ >= 1.0) {
+        // Issue the compute run up to the next reference in one batch; a
+        // reference it draws issues below, in the same iteration.
+        if (!have_pending_rec_ && issue_num_ - commit_num_ < cfg_.rob_entries &&
+            dispatch_gap()) {
+          if (frontend_stalled()) break;
+          continue;
+        }
         if (!try_issue_one()) {
           issue_blocked = true;
           break;
         }
         budget_ -= 1.0;
-        if (frontend_ready_ == kPending || frontend_ready_ > cycle_) break;
+        if (frontend_stalled()) break;
       }
     }
 
     ++cycle_;
 
     // Fast-forward: if commit is blocked on an incomplete load AND issue is
-    // blocked, nothing changes until the next known completion (or the end
-    // of this stepping window — fills arrive only at tick boundaries). The
-    // skipped cycles still owe their per-cycle stall/budget accounting.
+    // blocked, nothing changes until the event that can unblock it (or the
+    // end of this stepping window — fills arrive only at tick boundaries).
+    // The skipped cycles still owe their per-cycle stall/budget accounting.
     const bool commit_blocked =
         !outstanding_.empty() && commit_num_ == outstanding_.front().inst_num;
     if (issue_blocked && commit_blocked) {
-      CpuCycle next_event = kIdle;
-      // A stale completion (done <= cycle_) can unblock a dependence next
-      // cycle, so it pins next_event at/below cycle_ and forbids the jump.
-      for (const OutstandingLoad& o : outstanding_) {
-        if (o.done != kPending) next_event = std::min(next_event, o.done);
-      }
-      if (frontend_ready_ != kPending && frontend_ready_ > cycle_)
-        next_event = std::min(next_event, frontend_ready_);
+      const CpuCycle next_event = blocked_wake();
       if (next_event > cycle_) {
         const CpuCycle to = std::min(next_event, target_cpu);
         account_stall_span(to - cycle_);
@@ -271,7 +315,6 @@ void CoreModel::functional_advance(std::uint64_t n) {
   // between can never invalidate the memo.
   Addr last_line = ~Addr{0};
   bool last_dirty = false;
-  const bool ifetch = cfg_.model_ifetch && stream_.code_bytes() != 0;
   std::uint64_t remaining = n;
   while (remaining > 0) {
     trace::InstRecord rec;
@@ -302,7 +345,7 @@ void CoreModel::functional_advance(std::uint64_t n) {
     // code-line touch per countdown expiry across the consumed span (the
     // touches land after the span's data touch, which only perturbs L2
     // recency interleaving between the independent L1I/L1D streams).
-    if (ifetch) {
+    if (ifetch_) {
       std::uint64_t span = consumed;
       while (span >= insts_to_next_line_) {
         span -= insts_to_next_line_;

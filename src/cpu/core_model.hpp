@@ -17,8 +17,10 @@
 //     L1I miss stalls the frontend until the line returns.
 //
 // The model is stepped in CPU-cycle windows by the simulation kernel
-// (cpu_ratio cycles per memory-bus tick) and fast-forwards through cycles
-// where both commit and issue are provably blocked.
+// (cpu_ratio cycles per memory-bus tick). It dispatches each run of compute
+// instructions up to the next memory reference as one batch, and
+// fast-forwards through cycles where both commit and issue are provably
+// blocked, straight to the event that can unblock the stall.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +78,10 @@ class CoreModel {
 
   /// Earliest CPU cycle at which this core can make progress on its own:
   /// the last stepping-window end while the core was actively issuing or
-  /// committing, the earliest known completion / frontend-ready cycle while
-  /// blocked, or kIdle when only an external fill can unblock it. May be
-  /// conservatively early, never late; refreshed by step_to and on_fill.
+  /// committing, the known cycle of the event that can unblock it while
+  /// blocked (see blocked_wake), or kIdle when only an external fill can.
+  /// May be conservatively early, never late; refreshed by step_to and
+  /// on_fill.
   [[nodiscard]] CpuCycle next_activity_cycle() const { return self_wake_; }
 
   [[nodiscard]] CoreId id() const { return id_; }
@@ -89,6 +92,11 @@ class CoreModel {
   }
   [[nodiscard]] std::uint32_t outstanding_stores() const { return store_q_used_; }
   [[nodiscard]] const CoreRunStats& stats() const { return stats_; }
+
+  /// Host work, not a model statistic: CPU cycles step_to simulated one at
+  /// a time rather than jumping over. Not checkpointed and not reported in
+  /// run results; benches gate on it per tick.
+  [[nodiscard]] std::uint64_t cycles_stepped() const { return cycles_stepped_; }
 
   /// Zero the stall/access counters (pipeline state untouched).
   void reset_stats() { stats_ = CoreRunStats{}; }
@@ -150,9 +158,22 @@ class CoreModel {
 
   /// Try to issue one instruction; returns false when blocked this cycle
   /// (side-effect free on failure, and records the reason in last_stall_).
+  /// Past the ROB check it issues pending_rec_, which dispatch_gap drew.
   bool try_issue_one();
-  void do_ifetch_accounting();
+  /// With no record pending and ROB room: draw up to min(floor(budget_),
+  /// ROB room, instructions to the next fetch line) instructions in one
+  /// stream call and issue the compute ones. Returns true when all were
+  /// compute; false when the batch ended on a reference, now pending_rec_.
+  bool dispatch_gap();
+  /// Count `n` issued instructions against the current fetch line (n never
+  /// exceeds insts_to_next_line_); fetch the next line at the boundary.
+  void advance_fetch(std::uint32_t n);
   [[nodiscard]] bool last_load_complete() const;
+  /// Issue waits for an I-fetch (kPending is above every cycle).
+  [[nodiscard]] bool frontend_stalled() const { return frontend_ready_ > cycle_; }
+  /// Cycle of the event that can end the current issue+commit stall, by
+  /// stall kind; kIdle when only an external fill can.
+  [[nodiscard]] CpuCycle blocked_wake() const;
 
   /// Per-cycle accounting for `span` fast-forwarded blocked cycles: each
   /// would have bumped the last_stall_ counter once and (for issue-path
@@ -165,6 +186,7 @@ class CoreModel {
   double dispatch_ipc_;
   trace::InstStream& stream_;
   cache::CacheHierarchy& hierarchy_;
+  bool ifetch_;  ///< I-fetch modelled: cfg.model_ifetch and a code region
 
   CpuCycle cycle_ = 0;
   bool paused_ = false;           ///< see set_paused()
@@ -173,6 +195,7 @@ class CoreModel {
   double budget_ = 0.0;
   StallKind last_stall_ = StallKind::kNone;
   CpuCycle self_wake_ = 0;  ///< see next_activity_cycle()
+  std::uint64_t cycles_stepped_ = 0;  ///< see cycles_stepped()
 
   std::deque<OutstandingLoad> outstanding_;  ///< issue-order, L1-missing loads
   std::uint64_t next_token_seq_ = 0;

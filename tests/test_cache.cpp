@@ -1,11 +1,14 @@
 // Unit tests for src/cache: set-associative cache, MSHR file, hierarchy.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/hierarchy.hpp"
 #include "cache/mshr.hpp"
+#include "ckpt/snapshot.hpp"
 #include "dram/dram_system.hpp"
 #include "mc/controller.hpp"
 #include "sched/policies.hpp"
@@ -162,14 +165,82 @@ TEST(Mshr, ReleaseHandsBackWaiters) {
 TEST(Mshr, UndispatchedIteration) {
   MshrFile m(4);
   m.allocate(0x40, 0);
-  MshrEntry* e = m.allocate(0x80, 0);
-  e->dispatched = true;
+  m.allocate(0x80, 0);
+  m.dispatch_undispatched([](const MshrEntry& u) { return u.line_addr == 0x80; });
   int seen = 0;
-  m.for_each_undispatched([&](MshrEntry& u) {
+  m.dispatch_undispatched([&](const MshrEntry& u) {
     ++seen;
     EXPECT_EQ(u.line_addr, 0x40u);
+    return false;
   });
   EXPECT_EQ(seen, 1);
+  EXPECT_TRUE(m.find(0x80)->dispatched);
+  EXPECT_FALSE(m.find(0x40)->dispatched);
+}
+
+TEST(Mshr, UndispatchedCountTracksEveryTransition) {
+  MshrFile m(4);
+  EXPECT_FALSE(m.any_undispatched());
+  m.allocate(0x40, 0);
+  m.allocate(0x80, 1);
+  EXPECT_TRUE(m.any_undispatched());
+
+  // A refused dispatch leaves the entry in the retry set; offers go in
+  // entry-index order.
+  std::vector<Addr> offered;
+  m.dispatch_undispatched([&](const MshrEntry& e) {
+    offered.push_back(e.line_addr);
+    return false;
+  });
+  EXPECT_EQ(offered, (std::vector<Addr>{0x40, 0x80}));
+  EXPECT_TRUE(m.any_undispatched());
+
+  m.dispatch_undispatched([](const MshrEntry& e) { return e.line_addr == 0x40; });
+  EXPECT_TRUE(m.any_undispatched());  // 0x80 still waits
+
+  // Releasing the dispatched entry leaves the count alone; releasing the
+  // undispatched one empties the retry set.
+  std::vector<std::uint64_t> waiters;
+  ASSERT_TRUE(m.release(0x40, waiters));
+  EXPECT_TRUE(m.any_undispatched());
+  ASSERT_TRUE(m.release(0x80, waiters));
+  EXPECT_FALSE(m.any_undispatched());
+
+  // Once empty, the retry pass offers nothing.
+  int calls = 0;
+  m.dispatch_undispatched([&](const MshrEntry&) { return ++calls > 0; });
+  EXPECT_EQ(calls, 0);
+
+  m.allocate(0xc0, 0);
+  EXPECT_TRUE(m.any_undispatched());
+  m.reset();
+  EXPECT_FALSE(m.any_undispatched());
+
+  // The count is not serialized: load_state derives it from the entries.
+  m.allocate(0x100, 0);
+  m.allocate(0x140, 0);
+  m.dispatch_undispatched([](const MshrEntry& e) { return e.line_addr == 0x100; });
+  const std::string path = testing::TempDir() + "memsched_mshr_count.ckpt";
+  ckpt::Writer w;
+  w.begin_section("mshr");
+  m.save_state(w);
+  w.save(path, "fp");
+
+  MshrFile restored(4);
+  restored.allocate(0x40, 0);  // overwritten by the load
+  ckpt::Reader r(path, "fp");
+  r.open_section("mshr");
+  restored.load_state(r);
+  r.close_section();
+  EXPECT_TRUE(restored.any_undispatched());
+  offered.clear();
+  restored.dispatch_undispatched([&](const MshrEntry& e) {
+    offered.push_back(e.line_addr);
+    return true;
+  });
+  EXPECT_EQ(offered, (std::vector<Addr>{0x140}));
+  EXPECT_FALSE(restored.any_undispatched());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------- prefetcher ----

@@ -9,6 +9,8 @@
 #include "dram/dram_system.hpp"
 #include "mc/controller.hpp"
 #include "sched/policies.hpp"
+#include "trace/app_profile.hpp"
+#include "trace/generator.hpp"
 #include "trace/inst_stream.hpp"
 
 namespace memsched::cpu {
@@ -51,19 +53,29 @@ struct Rig {
 
   explicit Rig(std::vector<trace::InstRecord> recs, double ipc = 4.0,
                CoreConfig cfg = {})
-      : mcu(dram, sched, mc::ControllerConfig{}, 1, 1), hier({}, 1, mcu) {
-    cfg.model_ifetch = false;  // scripted streams carry no code region
-    stream = std::make_unique<ScriptStream>(std::move(recs));
+      : Rig(std::make_unique<ScriptStream>(std::move(recs)), ipc, cfg) {}
+
+  /// Any stream; I-fetch is modelled when cfg asks for it and the stream
+  /// has a code region (scripted streams have none).
+  Rig(std::unique_ptr<trace::InstStream> s, double ipc, CoreConfig cfg)
+      : mcu(dram, sched, mc::ControllerConfig{}, 1, 1),
+        hier({}, 1, mcu),
+        stream(std::move(s)) {
     core = std::make_unique<CoreModel>(0, cfg, ipc, *stream, hier);
     hier.set_fill_callback([this](std::uint64_t token, CpuCycle done) {
       core->on_fill(token, done);
     });
   }
 
+  /// Bus-side half of tick t; the caller steps the core through its window.
+  void tick_memory(Tick t) {
+    hier.tick(t);
+    mcu.tick(t);
+  }
+
   void run_ticks(Tick n) {
     for (Tick t = 0; t < n; ++t) {
-      hier.tick(t);
-      mcu.tick(t);
+      tick_memory(t);
       core->step_to((t + 1) * 8);
     }
   }
@@ -359,6 +371,157 @@ TEST(CoreModel, NextActivityCycleReflectsBlockedState) {
   }
   EXPECT_TRUE(saw_idle);
   EXPECT_TRUE(saw_wake_after_fill);
+}
+
+/// Runs `windowed` in 8-cycle step_to windows and `unit` one CPU cycle per
+/// step_to (the per-cycle oracle: no jump can span more than one cycle), on
+/// identical inputs; both must agree after every window. `check` sees the
+/// windowed twin after each window.
+template <class Check>
+void expect_matches_unit_stepping(Rig& windowed, Rig& unit, Tick ticks, Check check) {
+  for (Tick t = 0; t < ticks; ++t) {
+    windowed.tick_memory(t);
+    windowed.core->step_to((t + 1) * 8);
+    unit.tick_memory(t);
+    for (CpuCycle c = t * 8 + 1; c <= (t + 1) * 8; ++c) unit.core->step_to(c);
+    expect_same_state(*windowed.core, *unit.core);
+    check(t);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+/// One DRAM miss at the head of a small ROB, then L2-hit loads that
+/// complete behind it, then compute: the ROB fills behind a pending head.
+/// T0..T2 share one 2-way L1 set, so they keep missing L1 and hit L2; the
+/// misses sit in another L1 and L2 set.
+std::vector<trace::InstRecord> head_blocked_script() {
+  std::vector<trace::InstRecord> recs;
+  for (int i = 0; i < 64; ++i) {
+    recs.push_back(load(static_cast<Addr>(i + 1) << 20));
+    for (Addr k = 0; k < 3; ++k) recs.push_back(load(0x40 + k * (32 << 10)));
+    for (int j = 0; j < 8; ++j) recs.push_back(compute());
+  }
+  return recs;
+}
+
+TEST(CoreModel, BlockedCoreWakesOnTheEventThatFreesIt) {
+  CoreConfig cfg;
+  cfg.rob_entries = 8;
+  Rig windowed(head_blocked_script(), 4.0, cfg), unit(head_blocked_script(), 4.0, cfg);
+  std::uint64_t committed_before = 0, rob_before = 0, idle_windows = 0;
+  expect_matches_unit_stepping(windowed, unit, 800, [&](Tick t) {
+    const CoreModel& core = *windowed.core;
+    // A window spent wholly ROB-blocked while the head's DRAM fill is still
+    // in flight (the only L2 MSHR entry once the L2-hit lines are warm):
+    // only that fill can unblock the core, whatever completed behind it.
+    const bool blocked_all_window = core.committed() == committed_before &&
+                                    core.stats().stall_rob == rob_before + 8;
+    if (core.committed() >= 24 && blocked_all_window &&
+        windowed.hier.fills_in_flight() > 0) {
+      EXPECT_EQ(core.next_activity_cycle(), CoreModel::kIdle) << "tick " << t;
+      ++idle_windows;
+    }
+    committed_before = core.committed();
+    rob_before = core.stats().stall_rob;
+  });
+  EXPECT_GT(idle_windows, 100u);
+  EXPECT_GT(windowed.core->stats().l2_hits, 100u);
+  // Those windows jump instead of stepping: far fewer cycles stepped than
+  // simulated (the unit twin steps every one).
+  EXPECT_EQ(unit.core->cycles_stepped(), unit.core->cycle());
+  EXPECT_LT(windowed.core->cycles_stepped(), windowed.core->cycle() / 2);
+}
+
+TEST(CoreModel, EveryStallKindMatchesUnitStepping) {
+  // The wake rule differs by stall kind; each must land exactly where
+  // per-cycle stepping does.
+  struct Case {
+    const char* name;
+    std::uint64_t CoreRunStats::*stall;  ///< the kind the case must exercise
+    std::vector<trace::InstRecord> recs;
+    CoreConfig cfg;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"load queue full behind completed L2 hits", &CoreRunStats::stall_mshr,
+           head_blocked_script(), {}};
+    c.cfg.l1d_mshr = 3;
+    cases.push_back(c);
+  }
+  {
+    // A dependent miss behind an independent one and completed L2 hits.
+    Case c{"dependence", &CoreRunStats::stall_dep, {}, {}};
+    for (int i = 0; i < 64; ++i) {
+      c.recs.push_back(load(static_cast<Addr>(2 * i + 1) << 20));
+      c.recs.push_back(load(0x40));
+      c.recs.push_back(load(0x40 + (32 << 10)));
+      c.recs.push_back(load(0x40 + (64 << 10)));
+      c.recs.push_back(load(static_cast<Addr>(2 * i + 2) << 20, /*dep=*/true));
+      c.recs.push_back(compute());
+    }
+    cases.push_back(c);
+  }
+  {
+    Case c{"store queue", &CoreRunStats::stall_sq, {}, {}};
+    for (int i = 0; i < 256; ++i) {
+      c.recs.push_back(store(static_cast<Addr>(i + 1) << 20));
+      c.recs.push_back(load(static_cast<Addr>(i + 1) * 64 + (7 << 26)));
+    }
+    c.cfg.sq_entries = 2;
+    c.cfg.rob_entries = 16;
+    cases.push_back(c);
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rig windowed(c.recs, 3.0, c.cfg), unit(c.recs, 3.0, c.cfg);
+    expect_matches_unit_stepping(windowed, unit, 1000, [](Tick) {});
+    EXPECT_GT(windowed.core->committed(), 50u);
+    EXPECT_GT(windowed.core->stats().*c.stall, 100u);
+  }
+}
+
+/// A SyntheticStream rig with I-fetch on: fetch-line boundaries fall inside
+/// compute runs, so gap batches end on them.
+struct StreamRig {
+  trace::SyntheticStream* stream;
+  Rig rig;
+
+  StreamRig(const char* app, double ipc)
+      : StreamRig(std::make_unique<trace::SyntheticStream>(trace::spec2000_by_name(app),
+                                                           Addr{1} << 32, 7),
+                  ipc) {}
+
+ private:
+  StreamRig(std::unique_ptr<trace::SyntheticStream> s, double ipc)
+      : stream(s.get()), rig(std::move(s), ipc, CoreConfig{}) {}
+};
+
+TEST(CoreModel, GapBatchedDispatchMatchesUnitSteppingOnARealStream) {
+  for (const char* app : {"swim", "eon", "mcf"}) {
+    SCOPED_TRACE(app);
+    const double ipc = trace::spec2000_by_name(app).ilp_ipc;
+    StreamRig whole(app, ipc), chopped(app, ipc), unit(app, ipc);
+    ASSERT_NE(whole.stream->code_bytes(), 0u);
+    for (Tick t = 0; t < 3000; ++t) {
+      whole.rig.tick_memory(t);
+      whole.rig.core->step_to((t + 1) * 8);
+      chopped.rig.tick_memory(t);
+      chopped.rig.core->step_to(t * 8 + 3);
+      chopped.rig.core->step_to(t * 8 + 3);
+      chopped.rig.core->step_to((t + 1) * 8);
+      unit.rig.tick_memory(t);
+      for (CpuCycle c = t * 8 + 1; c <= (t + 1) * 8; ++c) unit.rig.core->step_to(c);
+      expect_same_state(*whole.rig.core, *unit.rig.core);
+      expect_same_state(*chopped.rig.core, *unit.rig.core);
+      // A batch that drew ahead of per-instruction dispatch would show here
+      // before it changed any statistic.
+      EXPECT_EQ(whole.stream->insts_emitted(), unit.stream->insts_emitted());
+      EXPECT_EQ(chopped.stream->insts_emitted(), unit.stream->insts_emitted());
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(whole.rig.core->committed(), 1000u);
+    EXPECT_GT(whole.rig.core->stats().stall_frontend, 0u);
+  }
 }
 
 }  // namespace
