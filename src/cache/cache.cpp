@@ -7,7 +7,10 @@
 namespace memsched::cache {
 
 SetAssocCache::SetAssocCache(const CacheConfig& cfg)
-    : cfg_(cfg), set_count_(cfg.sets()), line_shift_(util::ilog2(cfg.line_bytes)) {
+    : cfg_(cfg),
+      set_count_(cfg.sets()),
+      line_shift_(util::ilog2(cfg.line_bytes)),
+      set_bits_(util::ilog2(set_count_)) {
   MEMSCHED_ASSERT(util::is_pow2(cfg.line_bytes), "line size must be a power of two");
   MEMSCHED_ASSERT(cfg.ways > 0, "cache needs at least one way");
   MEMSCHED_ASSERT(set_count_ > 0 && util::is_pow2(set_count_),
@@ -20,11 +23,11 @@ std::uint64_t SetAssocCache::set_of(Addr addr) const {
 }
 
 Addr SetAssocCache::tag_of(Addr addr) const {
-  return addr >> line_shift_ >> util::ilog2(set_count_);
+  return addr >> line_shift_ >> set_bits_;
 }
 
 Addr SetAssocCache::line_addr_of(std::uint64_t set, Addr tag) const {
-  return ((tag << util::ilog2(set_count_)) | set) << line_shift_;
+  return ((tag << set_bits_) | set) << line_shift_;
 }
 
 AccessResult SetAssocCache::access(Addr addr, bool is_write) {

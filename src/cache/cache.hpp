@@ -115,6 +115,7 @@ class SetAssocCache {
   CacheConfig cfg_;
   std::uint64_t set_count_;
   unsigned line_shift_;
+  unsigned set_bits_;  ///< log2(set_count_), fixed at construction
   std::vector<Line> lines_;  ///< set-major: lines_[set * ways + way]
   std::uint64_t lru_clock_ = 0;
   CacheStats stats_;

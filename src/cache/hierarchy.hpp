@@ -79,11 +79,13 @@ class CacheHierarchy {
   /// fill callback fires when the line returns.
   AccessReply load(CoreId core, Addr addr, CpuCycle now_cpu, std::uint64_t waiter_token);
 
-  /// Data store (write-allocate). Returns false when back-pressured — retry
-  /// next cycle. If the store misses and `waiter_token` is given, the fill
-  /// callback fires when the line arrives (used by the core model to retire
-  /// store-queue entries); L1-hit stores never call back.
-  bool store(CoreId core, Addr addr, std::uint64_t waiter_token = kNoWaiterToken);
+  /// Data store (write-allocate), in one L1 lookup. Returns kHitL1, kRetry
+  /// when back-pressured (retry next cycle; nothing changed), or the L2 leg's
+  /// kHitL2/kMiss. On kMiss the line's fill is in flight and `waiter_token`,
+  /// unless kNoWaiterToken, is called back when it arrives (the core model
+  /// retires store-queue entries so); other outcomes ignore the token.
+  AccessOutcome store(CoreId core, Addr addr,
+                      std::uint64_t waiter_token = kNoWaiterToken);
 
   /// Public sentinel for "no completion callback wanted".
   static constexpr std::uint64_t kNoWaiterToken = ~std::uint64_t{0};

@@ -16,7 +16,9 @@ CoreModel::CoreModel(CoreId id, const CoreConfig& cfg, double dispatch_ipc,
       dispatch_ipc_(dispatch_ipc),
       stream_(stream),
       hierarchy_(hierarchy),
-      ifetch_(cfg.model_ifetch && stream.code_bytes() != 0),
+      code_base_(stream.code_base()),
+      code_bytes_(stream.code_bytes()),
+      ifetch_(cfg.model_ifetch && code_bytes_ != 0),
       insts_to_next_line_(cfg.insts_per_fetch_line) {
   MEMSCHED_ASSERT(dispatch_ipc > 0.0, "dispatch IPC must be positive");
   MEMSCHED_ASSERT(cfg.issue_width > 0 && cfg.rob_entries > 0, "invalid core config");
@@ -36,8 +38,8 @@ void CoreModel::advance_fetch(std::uint32_t n) {
   insts_to_next_line_ -= n;
   if (insts_to_next_line_ > 0) return;
   insts_to_next_line_ = cfg_.insts_per_fetch_line;
-  const Addr addr = stream_.code_base() + code_pos_;
-  code_pos_ = (code_pos_ + kLineBytes) % stream_.code_bytes();
+  const Addr addr = code_base_ + code_pos_;
+  code_pos_ = (code_pos_ + kLineBytes) % code_bytes_;
   const std::uint64_t token = make_token(id_, next_token_seq_++, /*ifetch=*/true);
   const cache::AccessReply reply = hierarchy_.ifetch(id_, addr, cycle_, token);
   switch (reply.outcome) {
@@ -54,7 +56,7 @@ void CoreModel::advance_fetch(std::uint32_t n) {
       // Treat as a short fixed stall and refetch the same line next time.
       frontend_ready_ = cycle_ + 4;
       insts_to_next_line_ = 1;
-      code_pos_ = (code_pos_ + stream_.code_bytes() - kLineBytes) % stream_.code_bytes();
+      code_pos_ = (code_pos_ + code_bytes_ - kLineBytes) % code_bytes_;
       break;
   }
 }
@@ -123,23 +125,18 @@ bool CoreModel::try_issue_one() {
         last_stall_ = StallKind::kSq;
         return false;
       }
-      // An L1 hit retires instantly; a miss occupies a store-queue entry
-      // until its fill returns (tracked via a bit-62 token).
-      const Addr line = line_base(rec.addr);
-      const bool will_miss = !hierarchy_.l1d(id_).probe(line);
-      const std::uint64_t token =
-          will_miss ? make_token(id_, next_token_seq_, false, /*store=*/true)
-                    : cache::CacheHierarchy::kNoWaiterToken;
-      if (!hierarchy_.store(id_, rec.addr, token)) {
+      // An L1 hit retires instantly and ignores the token; an L1 miss
+      // consumes its sequence number, and one whose fill is in flight (kMiss)
+      // occupies a store-queue entry until the bit-62 token is called back.
+      const std::uint64_t token = make_token(id_, next_token_seq_, false, /*store=*/true);
+      const AccessOutcome outcome = hierarchy_.store(id_, rec.addr, token);
+      if (outcome == AccessOutcome::kRetry) {
         ++stats_.stall_backpressure;
         last_stall_ = StallKind::kBackpressure;
         return false;
       }
-      if (will_miss) ++next_token_seq_;
-      if (will_miss && hierarchy_.l2_mshr().find(line) != nullptr) {
-        // The fill is genuinely in flight and our token is registered.
-        ++store_q_used_;
-      }
+      if (outcome != AccessOutcome::kHitL1) ++next_token_seq_;
+      if (outcome == AccessOutcome::kMiss) ++store_q_used_;
       ++stats_.stores;
       break;
     }
@@ -162,8 +159,10 @@ bool CoreModel::dispatch_gap() {
   have_pending_rec_ = pending_rec_.cls != trace::InstClass::kCompute;
   const std::uint64_t computes = drawn - (have_pending_rec_ ? 1 : 0);
   issue_num_ += computes;
-  // One subtraction per instruction keeps budget_ bit-identical.
-  for (std::uint64_t i = 0; i < computes; ++i) budget_ -= 1.0;
+  // Exactly what one `budget_ -= 1.0` per instruction gives: computes <=
+  // floor(budget_) and budget_ < 2^53, so 1.0 is a multiple of budget_'s ulp
+  // and every partial difference, like the whole one, is representable.
+  budget_ -= static_cast<double>(computes);
   advance_fetch(static_cast<std::uint32_t>(computes));
   return !have_pending_rec_;
 }
@@ -205,6 +204,13 @@ CpuCycle CoreModel::blocked_wake() const {
     case StallKind::kMshr:
       // Both clear only when the head load retires: commit is capped at its
       // inst_num, and outstanding_ pops only from the front.
+    case StallKind::kSq:
+    case StallKind::kBackpressure:
+      // Store-queue entries and L2 MSHRs free only on fills. A fill arrives
+      // at a tick boundary, on a visited tick where every core is stepped,
+      // and within one core's step_to window no other core touches the
+      // hierarchy: until the window ends only the head's retirement can
+      // change anything. Loads completed behind the head cannot.
       next_event = outstanding_.front().done;
       break;
     case StallKind::kDep:
@@ -350,8 +356,8 @@ void CoreModel::functional_advance(std::uint64_t n) {
       while (span >= insts_to_next_line_) {
         span -= insts_to_next_line_;
         insts_to_next_line_ = cfg_.insts_per_fetch_line;
-        const Addr addr = stream_.code_base() + code_pos_;
-        code_pos_ = (code_pos_ + kLineBytes) % stream_.code_bytes();
+        const Addr addr = code_base_ + code_pos_;
+        code_pos_ = (code_pos_ + kLineBytes) % code_bytes_;
         hierarchy_.functional_touch(id_, addr, /*is_write=*/false, /*is_ifetch=*/true);
       }
       insts_to_next_line_ -= static_cast<std::uint32_t>(span);

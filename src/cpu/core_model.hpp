@@ -186,6 +186,8 @@ class CoreModel {
   double dispatch_ipc_;
   trace::InstStream& stream_;
   cache::CacheHierarchy& hierarchy_;
+  Addr code_base_;                ///< stream_.code_base(), fixed per stream
+  std::uint64_t code_bytes_;      ///< stream_.code_bytes(), fixed per stream
   bool ifetch_;  ///< I-fetch modelled: cfg.model_ifetch and a code region
 
   CpuCycle cycle_ = 0;

@@ -1,6 +1,7 @@
 // Bit-field extraction helpers for physical-address decomposition.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "util/assert.hpp"
@@ -10,12 +11,13 @@ namespace memsched::util {
 /// True if x is a power of two (and nonzero).
 constexpr bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
-/// Floor log2; requires x != 0.
+/// Floor log2 in O(1); ilog2(0) is 0.
 constexpr unsigned ilog2(std::uint64_t x) {
-  unsigned r = 0;
-  while (x >>= 1) ++r;
-  return r;
+  return static_cast<unsigned>(std::bit_width(x | 1)) - 1;
 }
+static_assert(ilog2(0) == 0 && ilog2(1) == 0 && ilog2(2) == 1 && ilog2(3) == 1 &&
+              ilog2(64) == 6 && ilog2(65) == 6 && ilog2(std::uint64_t{1} << 63) == 63 &&
+              ilog2(~std::uint64_t{0}) == 63);
 
 /// Extract `width` bits of `x` starting at bit `pos` (LSB = 0).
 constexpr std::uint64_t bits(std::uint64_t x, unsigned pos, unsigned width) {

@@ -363,7 +363,7 @@ TEST(Hierarchy, SecondaryMissMerges) {
 
 TEST(Hierarchy, StoreMissWriteAllocatesWithoutWaiter) {
   Stack s;
-  EXPECT_TRUE(s.hier.store(0, 0x5000));
+  EXPECT_EQ(s.hier.store(0, 0x5000), AccessOutcome::kMiss);
   EXPECT_EQ(s.hier.fills_in_flight(), 1u);
   s.drain();
   EXPECT_TRUE(s.fills.empty());
@@ -378,7 +378,7 @@ TEST(Hierarchy, BackPressureWhenL2MshrFull) {
   EXPECT_EQ(s.hier.load(0, 64 * 100, 0, 1).outcome, AccessOutcome::kMiss);
   EXPECT_EQ(s.hier.load(0, 64 * 200, 0, 2).outcome, AccessOutcome::kMiss);
   EXPECT_EQ(s.hier.load(0, 64 * 300, 0, 3).outcome, AccessOutcome::kRetry);
-  EXPECT_FALSE(s.hier.store(0, 64 * 400));
+  EXPECT_EQ(s.hier.store(0, 64 * 400), AccessOutcome::kRetry);
   s.drain();
   EXPECT_EQ(s.fills.size(), 2u);
 }
@@ -390,7 +390,7 @@ TEST(Hierarchy, DirtyL1VictimFlowsToL2ThenDram) {
                         .hit_latency_cpu = 3, .name = "L1D"};
   Stack s(cfg, 1);
   // Dirty a line, then evict it from L1 by touching its set conflict.
-  EXPECT_TRUE(s.hier.store(0, 0x0));         // set 0, dirty
+  EXPECT_EQ(s.hier.store(0, 0x0), AccessOutcome::kMiss);  // set 0, dirty
   s.hier.load(0, 0x80, 0, 1);                // set 0 conflict -> victim 0x0 to L2
   s.drain();
   // L2 now holds 0x0 dirty; storm the L2 set to force a DRAM writeback.

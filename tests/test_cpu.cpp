@@ -52,14 +52,15 @@ struct Rig {
   std::unique_ptr<CoreModel> core;
 
   explicit Rig(std::vector<trace::InstRecord> recs, double ipc = 4.0,
-               CoreConfig cfg = {})
-      : Rig(std::make_unique<ScriptStream>(std::move(recs)), ipc, cfg) {}
+               CoreConfig cfg = {}, const cache::HierarchyConfig& hcfg = {})
+      : Rig(std::make_unique<ScriptStream>(std::move(recs)), ipc, cfg, hcfg) {}
 
   /// Any stream; I-fetch is modelled when cfg asks for it and the stream
   /// has a code region (scripted streams have none).
-  Rig(std::unique_ptr<trace::InstStream> s, double ipc, CoreConfig cfg)
+  Rig(std::unique_ptr<trace::InstStream> s, double ipc, CoreConfig cfg,
+      const cache::HierarchyConfig& hcfg = {})
       : mcu(dram, sched, mc::ControllerConfig{}, 1, 1),
-        hier({}, 1, mcu),
+        hier(hcfg, 1, mcu),
         stream(std::move(s)) {
     core = std::make_unique<CoreModel>(0, cfg, ipc, *stream, hier);
     hier.set_fill_callback([this](std::uint64_t token, CpuCycle done) {
@@ -432,6 +433,43 @@ TEST(CoreModel, BlockedCoreWakesOnTheEventThatFreesIt) {
   EXPECT_LT(windowed.core->cycles_stepped(), windowed.core->cycle() / 2);
 }
 
+/// Two DRAM misses fill a two-entry L2 MSHR file, with L2-hit loads (as in
+/// head_blocked_script) completing between them; the third miss is then
+/// back-pressured behind the pending head.
+std::vector<trace::InstRecord> backpressure_script() {
+  std::vector<trace::InstRecord> recs;
+  for (int i = 0; i < 64; ++i) {
+    recs.push_back(load(static_cast<Addr>(3 * i + 1) << 20));
+    for (Addr k = 0; k < 3; ++k) recs.push_back(load(0x40 + k * (32 << 10)));
+    recs.push_back(load(static_cast<Addr>(3 * i + 2) << 20));
+    recs.push_back(load(static_cast<Addr>(3 * i + 3) << 20));
+    for (int j = 0; j < 4; ++j) recs.push_back(compute());
+  }
+  return recs;
+}
+
+TEST(CoreModel, BackPressuredCoreJumpsPastCompletedLoads) {
+  // A back-pressured retry can succeed only once a fill frees an L2 MSHR,
+  // and fills land between step_to windows: loads that completed behind
+  // the pending head must not pin the core to stepping cycle by cycle.
+  cache::HierarchyConfig hcfg;
+  hcfg.l2_mshr_entries = 2;
+  Rig windowed(backpressure_script(), 4.0, {}, hcfg);
+  Rig unit(backpressure_script(), 4.0, {}, hcfg);
+  std::uint64_t pinned_windows = 0;
+  expect_matches_unit_stepping(windowed, unit, 1500, [&](Tick) {
+    const CoreModel& core = *windowed.core;
+    if (windowed.hier.fills_in_flight() == 2 && core.outstanding_misses() > 2) {
+      ++pinned_windows;
+    }
+  });
+  EXPECT_GT(pinned_windows, 200u);
+  EXPECT_GT(windowed.core->stats().stall_backpressure, 2000u);
+  EXPECT_GT(windowed.core->stats().l2_hits, 30u);
+  EXPECT_EQ(unit.core->cycles_stepped(), unit.core->cycle());
+  EXPECT_LT(windowed.core->cycles_stepped(), windowed.core->cycle() / 4);
+}
+
 TEST(CoreModel, EveryStallKindMatchesUnitStepping) {
   // The wake rule differs by stall kind; each must land exactly where
   // per-cycle stepping does.
@@ -440,17 +478,24 @@ TEST(CoreModel, EveryStallKindMatchesUnitStepping) {
     std::uint64_t CoreRunStats::*stall;  ///< the kind the case must exercise
     std::vector<trace::InstRecord> recs;
     CoreConfig cfg;
+    cache::HierarchyConfig hcfg;
   };
   std::vector<Case> cases;
   {
     Case c{"load queue full behind completed L2 hits", &CoreRunStats::stall_mshr,
-           head_blocked_script(), {}};
+           head_blocked_script(), {}, {}};
     c.cfg.l1d_mshr = 3;
     cases.push_back(c);
   }
   {
+    Case c{"L2 MSHRs full behind completed L2 hits", &CoreRunStats::stall_backpressure,
+           backpressure_script(), {}, {}};
+    c.hcfg.l2_mshr_entries = 2;
+    cases.push_back(c);
+  }
+  {
     // A dependent miss behind an independent one and completed L2 hits.
-    Case c{"dependence", &CoreRunStats::stall_dep, {}, {}};
+    Case c{"dependence", &CoreRunStats::stall_dep, {}, {}, {}};
     for (int i = 0; i < 64; ++i) {
       c.recs.push_back(load(static_cast<Addr>(2 * i + 1) << 20));
       c.recs.push_back(load(0x40));
@@ -462,7 +507,7 @@ TEST(CoreModel, EveryStallKindMatchesUnitStepping) {
     cases.push_back(c);
   }
   {
-    Case c{"store queue", &CoreRunStats::stall_sq, {}, {}};
+    Case c{"store queue", &CoreRunStats::stall_sq, {}, {}, {}};
     for (int i = 0; i < 256; ++i) {
       c.recs.push_back(store(static_cast<Addr>(i + 1) << 20));
       c.recs.push_back(load(static_cast<Addr>(i + 1) * 64 + (7 << 26)));
@@ -473,7 +518,7 @@ TEST(CoreModel, EveryStallKindMatchesUnitStepping) {
   }
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    Rig windowed(c.recs, 3.0, c.cfg), unit(c.recs, 3.0, c.cfg);
+    Rig windowed(c.recs, 3.0, c.cfg, c.hcfg), unit(c.recs, 3.0, c.cfg, c.hcfg);
     expect_matches_unit_stepping(windowed, unit, 1000, [](Tick) {});
     EXPECT_GT(windowed.core->committed(), 50u);
     EXPECT_GT(windowed.core->stats().*c.stall, 100u);
