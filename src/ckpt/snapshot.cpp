@@ -153,11 +153,6 @@ Reader::Reader(const std::string& path, const std::string& expected_fingerprint)
   parse(raw, expected_fingerprint);
 }
 
-Reader::Reader(const std::vector<std::uint8_t>& raw,
-               const std::string& expected_fingerprint) {
-  parse(raw, expected_fingerprint);
-}
-
 void Reader::parse(const std::vector<std::uint8_t>& raw,
                    const std::string& expected_fingerprint) {
   Parser ps(raw.data(), raw.size());

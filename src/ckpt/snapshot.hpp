@@ -88,11 +88,6 @@ class Reader {
   /// CRC-clean snapshot whose fingerprint equals `expected_fingerprint`.
   Reader(const std::string& path, const std::string& expected_fingerprint);
 
-  /// Parses an in-memory image with the same validation. Used by callers
-  /// that read the bytes themselves (the result cache routes reads through
-  /// the fs fault hooks before handing the image over for parsing).
-  Reader(const std::vector<std::uint8_t>& raw, const std::string& expected_fingerprint);
-
   [[nodiscard]] bool has_section(const std::string& name) const;
 
   /// Positions the read cursor at the start of section `name`.

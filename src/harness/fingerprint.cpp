@@ -4,13 +4,15 @@
 
 namespace memsched::harness {
 
-namespace {
-
-/// Renders the shared (point-independent) tail of both fingerprints.
-void render_config(std::ostringstream& os, const sim::ExperimentConfig& cfg,
-                   const mc::FaultConfig& fault, const std::string& fault_points) {
-  os << "insts=" << cfg.eval_insts << "|repeats=" << cfg.eval_repeats
-     << "|warmup=" << cfg.warmup_insts << "|profile=" << cfg.profile_insts << ','
+std::string grid_fingerprint(const sim::ExperimentConfig& cfg,
+                             const std::string& workloads, const std::string& schemes,
+                             const mc::FaultConfig& fault,
+                             const std::string& fault_points) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "grid-v2|w=" << workloads << "|s=" << schemes << "|insts=" << cfg.eval_insts
+     << "|repeats=" << cfg.eval_repeats << "|warmup=" << cfg.warmup_insts
+     << "|profile=" << cfg.profile_insts << ','
      << cfg.profile_seed << "|seed=" << cfg.eval_seed
      << "|table_bits=" << cfg.table_bits << "|max_ticks=" << cfg.max_ticks
      << "|base={" << cfg.base.fingerprint() << '}';
@@ -20,28 +22,6 @@ void render_config(std::ostringstream& os, const sim::ExperimentConfig& cfg,
        << ',' << fault.delay_ticks_max << ',' << fault.stall_prob << ','
        << fault.stall_ticks << "|fault_pts=" << fault_points;
   }
-}
-
-}  // namespace
-
-std::string grid_fingerprint(const sim::ExperimentConfig& cfg,
-                             const std::string& workloads, const std::string& schemes,
-                             const mc::FaultConfig& fault,
-                             const std::string& fault_points) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "grid-v2|w=" << workloads << "|s=" << schemes << "|";
-  render_config(os, cfg, fault, fault_points);
-  return os.str();
-}
-
-std::string grid_config_fingerprint(const sim::ExperimentConfig& cfg,
-                                    const mc::FaultConfig& fault,
-                                    const std::string& fault_points) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "grid-config-v1|";
-  render_config(os, cfg, fault, fault_points);
   return os.str();
 }
 

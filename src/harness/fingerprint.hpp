@@ -27,12 +27,4 @@ namespace memsched::harness {
                                            const mc::FaultConfig& fault,
                                            const std::string& fault_points);
 
-/// Point-independent variant: every result-affecting knob EXCEPT the
-/// workload/scheme lists. A sweep point's name ("workload/scheme") completes
-/// the identity, so result-cache entries keyed by this fingerprint are shared
-/// between any two grids that agree on the configuration.
-[[nodiscard]] std::string grid_config_fingerprint(const sim::ExperimentConfig& cfg,
-                                                  const mc::FaultConfig& fault,
-                                                  const std::string& fault_points);
-
 }  // namespace memsched::harness

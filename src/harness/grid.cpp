@@ -91,10 +91,6 @@ std::string fingerprint(const GridSpec& spec) {
                           spec.fault_points_csv);
 }
 
-std::string config_fingerprint(const GridSpec& spec) {
-  return grid_config_fingerprint(spec.cfg, spec.fault, spec.fault_points_csv);
-}
-
 std::vector<PointSpec> grid_points(const GridSpec& spec) {
   const std::vector<std::string> fault_points = split_csv(spec.fault_points_csv);
   const auto fault_targets = [&](const std::string& point_name) {

@@ -22,7 +22,7 @@ class Config;
 namespace memsched::harness {
 
 /// Parsed grid sweep definition. Raw CSV strings are kept verbatim because
-/// the classic grid fingerprint renders them byte-for-byte.
+/// the grid fingerprint renders them byte-for-byte.
 struct GridSpec {
   sim::ExperimentConfig cfg;
   mc::FaultConfig fault;
@@ -49,16 +49,9 @@ struct GridSpec {
 /// the caller's job (front ends accept different surrounding vocabularies).
 [[nodiscard]] GridSpec grid_from_config(const util::Config& cli);
 
-/// The classic full-sweep fingerprint (includes the workload/scheme CSVs) —
-/// what `memsched_sweep grid` binds its manifest and cache to.
+/// The full-sweep fingerprint (includes the workload/scheme CSVs) — what
+/// `memsched_sweep grid` binds its manifest to.
 [[nodiscard]] std::string fingerprint(const GridSpec& spec);
-
-/// Point-independent configuration fingerprint: every result-affecting knob
-/// EXCEPT the workload/scheme lists. Point names ("workload/scheme") carry
-/// the rest of the identity, so two grids that share a configuration share
-/// result-cache entries per point, and a grown grid re-simulates only its new
-/// points.
-[[nodiscard]] std::string config_fingerprint(const GridSpec& spec);
 
 /// Builds the PointSpec list for the grid: one forked, checkpointable,
 /// cost-hinted point per (workload, scheme) pair, identical to what

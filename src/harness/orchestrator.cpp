@@ -12,10 +12,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
-#include "cache/result_cache.hpp"
 #include "harness/guarded_main.hpp"
 #include "util/progress.hpp"
 #include "util/wallclock.hpp"
@@ -71,8 +71,11 @@ std::uint32_t resolve_jobs(std::uint32_t requested) {
   if (requested != 0) return requested;
   if (const char* env = std::getenv("MEMSCHED_JOBS"); env != nullptr && *env != '\0') {
     char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<std::uint32_t>(v);
+    const long long v = std::strtoll(env, &end, 10);
+    if (end != env && *end == '\0' && v > 0 &&
+        v <= std::numeric_limits<std::uint32_t>::max()) {
+      return static_cast<std::uint32_t>(v);
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
@@ -83,13 +86,6 @@ Orchestrator::Orchestrator(OrchestratorConfig cfg) : cfg_(std::move(cfg)) {
   retry_backoff_.base_seconds = cfg_.backoff_seconds;
   if (!cfg_.manifest_path.empty()) {
     manifest_.open(cfg_.manifest_path, cfg_.fingerprint);
-  }
-  if (!cfg_.cache_dir.empty()) {
-    cache::ResultCacheConfig cc;
-    cc.dir = cfg_.cache_dir;
-    cc.fingerprint =
-        cfg_.cache_fingerprint.empty() ? cfg_.fingerprint : cfg_.cache_fingerprint;
-    cache_ = std::make_unique<cache::ResultCache>(std::move(cc), cfg_.cache_faults);
   }
   if (cfg_.work_dir.empty()) {
     cfg_.work_dir = cfg_.manifest_path.empty() ? std::string("memsched-sweep.work")
@@ -102,48 +98,14 @@ Orchestrator::Orchestrator(OrchestratorConfig cfg) : cfg_(std::move(cfg)) {
   cost_.load(timing_path());
 }
 
-Orchestrator::~Orchestrator() = default;
-
 std::string Orchestrator::timing_path() const {
   return cfg_.manifest_path.empty() ? cfg_.work_dir + "/timing.json"
                                     : cfg_.manifest_path + ".timing.json";
 }
 
-void Orchestrator::commit_record(const PointRecord& rec, bool cacheable) {
+void Orchestrator::commit_record(const PointRecord& rec) {
   manifest_.record(rec);  // checkpoint after *every* point
-  // Store AFTER the manifest checkpoint: a cached result must never be more
-  // durable than the sweep state that produced it. Any store failure inside
-  // put() degrades to a diagnostic; it cannot fail the sweep.
-  if (cache_ != nullptr && cacheable && rec.ok() && !rec.payload.empty()) {
-    cache_->put(rec.name, rec.payload);
-  }
   if (rec.ok() && rec.wall_ms > 0.0) cost_.observe(rec.name, rec.wall_ms);
-}
-
-bool Orchestrator::cache_lookup(const PointSpec& point, std::size_t index,
-                                SweepSummary& summary) {
-  // Exec points are excluded: their "payload" is a pointer at side effects
-  // (stdout files) a cache hit would not reproduce.
-  if (cache_ == nullptr || !point.argv.empty()) return false;
-  std::string payload;
-  if (!cache_->get(point.name, &payload)) return false;
-  PointRecord rec;
-  rec.name = point.name;
-  rec.index = static_cast<std::uint32_t>(index);
-  rec.status = "ok";
-  rec.category = "ok";
-  rec.attempts = 1;
-  rec.payload = std::move(payload);
-  // wall_ms stays 0: a splice is not a measurement, so neither the timing
-  // sidecar nor the dispatch cost model learns from it.
-  commit_record(rec, /*cacheable=*/false);
-  ++summary.cache_hits;
-  ++summary.ok;
-  if (cfg_.verbose) {
-    std::fprintf(stderr, "[sweep] %zu/%zu %s: ok (cache hit)\n", index + 1,
-                 summary.total, point.name.c_str());
-  }
-  return true;
 }
 
 SweepSummary Orchestrator::run(const std::vector<PointSpec>& points) {
@@ -154,18 +116,6 @@ SweepSummary Orchestrator::run(const std::vector<PointSpec>& points) {
   run_wall_ms_ = ms_since(start);
   summary.wall_ms = run_wall_ms_;
   cost_.save(timing_path());
-  if (cache_ != nullptr && cfg_.verbose) {
-    const cache::ResultCacheStats& cs = cache_->stats();
-    std::fprintf(stderr,
-                 "[sweep] cache %s: %llu hits, %llu misses, %llu stores"
-                 " (%llu degraded, %llu quarantined)\n",
-                 cfg_.cache_dir.c_str(), static_cast<unsigned long long>(cs.hits),
-                 static_cast<unsigned long long>(cs.misses),
-                 static_cast<unsigned long long>(cs.stores),
-                 static_cast<unsigned long long>(cs.store_errors + cs.read_errors +
-                                                 cs.lock_timeouts),
-                 static_cast<unsigned long long>(cs.quarantined));
-  }
   return summary;
 }
 
@@ -209,7 +159,6 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
       }
       continue;
     }
-    if (cache_lookup(point, i, summary)) continue;
     est[i] = cost_.estimate(point.name, point.cost_hint);
     pending.push_back(Pending{i, 1, Clock::time_point{}});
   }
@@ -223,8 +172,11 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
   std::sort(pending.begin(), pending.end(), lpt_less);
 
   util::ProgressTicker ticker(cfg_.verbose && ::isatty(STDERR_FILENO) != 0);
+  // The pool never needs more slots than there are points to run, whatever
+  // width was asked for; retries re-enter `pending`, never widen it.
+  const std::size_t width = std::min<std::size_t>(jobs, pending.size());
   std::vector<Slot> slots;
-  slots.reserve(jobs);
+  slots.reserve(width);
   const auto pool_start = util::monotonic_now();
   double done_cost = 0.0;  // estimated cost of completed points (ETA input)
   bool halting = false;    // stop dispatching (graceful stop or interrupted child)
@@ -262,7 +214,7 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
       pending.insert(std::lower_bound(pending.begin(), pending.end(), p, lpt_less), p);
       return;
     }
-    commit_record(rec, points[index].argv.empty());
+    commit_record(rec);
     ++summary.executed;
     done_cost += est[index];
     if (rec.ok()) {
@@ -301,7 +253,7 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
 
     // Dispatch: fill free slots with ready points, longest expected first
     // (pending is kept sorted; the scan skips entries still in backoff).
-    while (!halting && slots.size() < jobs && !pending.empty()) {
+    while (!halting && slots.size() < width && !pending.empty()) {
       const auto now = util::monotonic_now();
       const auto it = std::find_if(pending.begin(), pending.end(),
                                    [now](const Pending& p) { return p.ready_at <= now; });

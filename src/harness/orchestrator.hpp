@@ -23,19 +23,13 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/cost_model.hpp"
 #include "harness/manifest.hpp"
 #include "util/backoff.hpp"
-#include "util/fs_fault.hpp"
 #include "util/json.hpp"
-
-namespace memsched::cache {
-class ResultCache;
-}  // namespace memsched::cache
 
 namespace memsched::harness {
 
@@ -66,35 +60,17 @@ struct OrchestratorConfig {
   std::string fingerprint;    ///< sweep identity; resume refuses a mismatch
   std::string work_dir;       ///< scratch dir for per-point result/stderr files
 
-  /// Result-cache identity; empty = `fingerprint`. Grid sweeps pass the
-  /// point-independent config fingerprint here so two grids that share a
-  /// configuration share cache entries per point (a grown grid re-simulates
-  /// only its new points), while the manifest and report keep the full
-  /// sweep identity.
-  std::string cache_fingerprint;
-
   double timeout_seconds = 300.0;  ///< per-attempt wall-clock watchdog; 0 = none
   std::uint32_t max_attempts = 1;  ///< bounded retry (1 = no retry)
   double backoff_seconds = 0.0;    ///< base of the capped exponential retry
                                    ///< schedule (util::Backoff): the sleep
                                    ///< before retry k is min(base*2^(k-1), 60s)
-
-  /// Content-addressed result cache directory; empty = no caching. A point
-  /// whose (fingerprint, name) key is already stored short-circuits the
-  /// forked worker and splices the recorded payload in — manifest and report
-  /// bytes are identical to a cold run at any jobs= width. Cache I/O
-  /// failures degrade to a miss, never a failed sweep. Exec (argv) points
-  /// are never cached: their results are side effects, not payloads.
-  std::string cache_dir;
-
-  /// Optional deterministic fault source armed around the cache's own
-  /// filesystem I/O (and nothing else) — chaos testing the degraded modes.
-  util::FsFaultHooks* cache_faults = nullptr;
   bool verbose = true;   ///< per-point progress lines on stderr
 
   /// Process-pool width: up to this many forked points in flight, dispatched
-  /// longest-expected-first at every width. 0 = auto: MEMSCHED_JOBS from the
-  /// environment, else hardware_concurrency.
+  /// longest-expected-first at every width; never more children than there
+  /// are points to run. 0 = auto: MEMSCHED_JOBS from the environment, else
+  /// hardware_concurrency.
   std::uint32_t jobs = 1;
 
   /// Cooperative graceful-stop flag (typically ckpt::stop_flag(), set by the
@@ -111,7 +87,6 @@ struct SweepSummary {
   std::size_t ok = 0;        ///< includes resumed points
   std::size_t failed = 0;
   std::size_t resumed = 0;   ///< replayed from the manifest, not re-run
-  std::size_t cache_hits = 0;  ///< served from the result cache, not re-run
   std::size_t executed = 0;  ///< actually run this invocation
   bool interrupted = false;  ///< graceful stop (SIGTERM/SIGINT) ended the sweep
   std::uint32_t jobs = 1;    ///< resolved pool width this run
@@ -122,14 +97,14 @@ struct SweepSummary {
   }
 };
 
-/// Resolves a jobs request: nonzero passes through; 0 consults MEMSCHED_JOBS,
-/// then hardware_concurrency, with a floor of 1.
+/// Resolves a jobs request: nonzero passes through; 0 consults MEMSCHED_JOBS
+/// (a value that is not an integer in [1, UINT32_MAX] is ignored), then
+/// hardware_concurrency, with a floor of 1.
 [[nodiscard]] std::uint32_t resolve_jobs(std::uint32_t requested);
 
 class Orchestrator {
  public:
   explicit Orchestrator(OrchestratorConfig cfg);
-  ~Orchestrator();  // out of line: ResultCache is forward-declared here
 
   /// Runs (or resumes) the sweep. Points whose manifest record is already
   /// "ok" are skipped; previously failed points are re-attempted. Points run
@@ -138,9 +113,6 @@ class Orchestrator {
   SweepSummary run(const std::vector<PointSpec>& points);
 
   [[nodiscard]] const Manifest& manifest() const { return manifest_; }
-
-  /// The result cache handle, or nullptr when cache_dir was empty.
-  [[nodiscard]] const cache::ResultCache* result_cache() const { return cache_.get(); }
 
   /// Deterministic sweep report: recorded payloads are spliced back verbatim
   /// and wall-clock fields are excluded, so an interrupted-and-resumed sweep
@@ -180,21 +152,14 @@ class Orchestrator {
   [[nodiscard]] std::string ckpt_dir_for(std::size_t index) const;
   [[nodiscard]] std::string child_error(const std::string& stderr_path) const;
 
-  /// Records a final per-point outcome: manifest checkpoint + timing +
-  /// (when `cacheable`) a result-cache store for ok payloads.
-  void commit_record(const PointRecord& rec, bool cacheable = true);
-
-  /// Cache lookup for one point; on a hit, commits the spliced record (ok,
-  /// attempt 1 — byte-identical to a cold first-try success) and updates
-  /// `summary`.
-  bool cache_lookup(const PointSpec& point, std::size_t index, SweepSummary& summary);
+  /// Records a final per-point outcome: manifest checkpoint + timing.
+  void commit_record(const PointRecord& rec);
 
   [[nodiscard]] std::string timing_path() const;
 
   OrchestratorConfig cfg_;
   Manifest manifest_;
   CostModel cost_;
-  std::unique_ptr<cache::ResultCache> cache_;
   util::Backoff retry_backoff_;
   double run_wall_ms_ = 0.0;
   std::uint32_t run_jobs_ = 1;

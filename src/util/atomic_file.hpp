@@ -1,12 +1,12 @@
 // Atomic, durable file replacement.
 //
 // Crash-safe persistence primitive shared by the sweep manifest, the
-// simulator snapshot writer, and the result cache: the payload is written to
-// a writer-unique temp name (`path + ".tmp.<pid>.<seq>"`), fsync()ed so the
-// bytes are on stable storage, then rename()d over `path`. A crash at any
-// instant leaves either the previous complete file or the new complete file
-// — never a torn mix — which is what lets a killed sweep or simulation trust
-// whatever checkpoint it finds on restart. The unique temp name makes
+// simulator snapshot writer, and the cost-model timing sidecar: the payload
+// is written to a writer-unique temp name (`path + ".tmp.<pid>.<seq>"`),
+// fsync()ed so the bytes are on stable storage, then rename()d over `path`.
+// A crash at any instant leaves either the previous complete file or the new
+// complete file — never a torn mix — which is what lets a killed sweep or
+// simulation trust whatever checkpoint it finds on restart. The unique temp name makes
 // concurrent writers safe: parallel sweep workers sharing a directory can
 // never clobber each other's in-flight temp file, and the last rename wins
 // with a complete payload.
@@ -14,8 +14,8 @@
 // Failures surface as AtomicFileError carrying WHICH operation failed and
 // the errno: an fsync ENOSPC (durability lost, payload may be gone) and a
 // close EIO (writeback failed behind our back) are different failures from a
-// plain write error, and callers that degrade gracefully (the result cache)
-// classify on them. All operations consult util::fs_fault_hooks() so the
+// plain write error, and callers can classify on them without parsing a
+// message. All operations consult util::fs_fault_hooks() so the
 // ENOSPC/EIO/short-write paths are unit-testable without filling a disk.
 #pragma once
 

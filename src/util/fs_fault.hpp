@@ -1,19 +1,15 @@
-// Filesystem fault-injection seam for chaos-testing the persistence layer.
+// Filesystem fault-injection seam for testing the persistence layer.
 //
-// The robustness code (util::atomic_file, the result cache) consults a
-// thread-local hook object before touching the filesystem: the hook can
-// shorten a write (exercising partial-write loops), fail an operation with a
-// chosen errno (ENOSPC, EIO), or flip bits in bytes just read from disk
-// (exercising CRC validation and quarantine paths). No hook installed — the
-// default — means zero behaviour change; the checks are a null-pointer test
-// on a thread-local, so the production cost is negligible.
+// util::atomic_file consults a thread-local hook object before touching the
+// filesystem: the hook can shorten a write (exercising the partial-write
+// loop) or fail an operation with a chosen errno (ENOSPC, EIO). No hook
+// installed — the default — means zero behaviour change; the checks are a
+// null-pointer test on a thread-local, so the production cost is negligible.
 //
 // The hook is deliberately THREAD-LOCAL and RAII-scoped (ScopedFsFaults):
 // faults must be confined to the code path under test. A process-global hook
-// would poison unrelated writers — the sweep manifest, timing sidecars — and
-// turn "the cache degrades gracefully" into "the sweep loses its checkpoint".
-// The deterministic decision engine lives in mc::FsFaultInjector; this header
-// only defines the seam so util stays at the bottom of the layering.
+// would reach every writer in the process — the sweep manifest, timing
+// sidecars, snapshots — not just the one a test means to break.
 #pragma once
 
 #include <cstddef>
@@ -39,14 +35,6 @@ class FsFaultHooks {
     (void)op;
     return 0;
   }
-
-  /// Mutates `n` bytes just read from disk (bit flips). Called by readers
-  /// that validate content (the result cache), never by readers that would
-  /// turn a flipped bit into UB.
-  virtual void corrupt_read(void* data, std::size_t n) {
-    (void)data;
-    (void)n;
-  }
 };
 
 /// The hooks installed for the current thread, or nullptr (the default).
@@ -57,7 +45,7 @@ class FsFaultHooks {
 FsFaultHooks* set_fs_fault_hooks(FsFaultHooks* hooks);
 
 /// RAII installer: hooks active inside the scope, previous hooks restored on
-/// exit. Used by the result cache to arm faults around its own I/O only.
+/// exit, so faults reach only the I/O issued inside it.
 class ScopedFsFaults {
  public:
   explicit ScopedFsFaults(FsFaultHooks* hooks) : prev_(set_fs_fault_hooks(hooks)) {}

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <chrono>
-#include <filesystem>
 
 namespace memsched::util {
 
@@ -38,20 +37,6 @@ using MonotonicDuration = MonotonicClock::duration;
 [[nodiscard]] inline MonotonicDuration seconds_to_duration(double seconds) {
   return std::chrono::duration_cast<MonotonicDuration>(
       std::chrono::duration<double>(seconds));
-}
-
-/// Blessed filesystem-clock read, for comparing against file mtimes (lease /
-/// stale-artifact age in the result cache). Same rule as monotonic_now():
-/// never feeds simulated state, only maintenance decisions around it.
-[[nodiscard]] inline std::filesystem::file_time_type file_now() {
-  return std::filesystem::file_time_type::clock::now();
-}
-
-/// Age in seconds of a file timestamp relative to `now` (negative if the
-/// file is from the future, e.g. clock skew — callers treat that as young).
-[[nodiscard]] inline double file_age_seconds(std::filesystem::file_time_type mtime,
-                                             std::filesystem::file_time_type now) {
-  return std::chrono::duration<double>(now - mtime).count();
 }
 
 }  // namespace memsched::util

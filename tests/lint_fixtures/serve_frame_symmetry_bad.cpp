@@ -2,7 +2,7 @@
 // Fixture: cache-entry-framing covers the serve subsystem's WAL record
 // codec style — WireWriter/WireReader member calls inside free
 // encode_/decode_ pairs — catching a swapped field sequence and a schema
-// truncation just like it does for the result cache's ckpt-based codec.
+// truncation just like it does for a ckpt-based codec.
 
 namespace fixture {
 

@@ -9,8 +9,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,7 +19,6 @@
 
 #include "harness/cost_model.hpp"
 #include "harness/fingerprint.hpp"
-#include "harness/grid.hpp"
 #include "harness/guarded_main.hpp"
 #include "harness/manifest.hpp"
 #include "harness/orchestrator.hpp"
@@ -29,7 +29,6 @@
 #include "sim/system.hpp"
 #include "sim/watchdog.hpp"
 #include "trace/app_profile.hpp"
-#include "util/config.hpp"
 #include "util/json.hpp"
 
 using namespace memsched;
@@ -511,66 +510,6 @@ TEST(GridFingerprint, EveryResultAffectingKnobParticipates) {
             fp(base));
 }
 
-// Incremental re-sweeps: two grids sharing a configuration share result-cache
-// entries per point, because `memsched_sweep grid` keys the cache on the
-// point-independent config fingerprint plus the point name.
-
-TEST(GridFingerprint, ConfigFingerprintSharesCacheAcrossGrids) {
-  util::Config c1;
-  ASSERT_FALSE(c1.parse_token("workloads=2MEM-1").has_value());
-  ASSERT_FALSE(c1.parse_token("schemes=HF-RF").has_value());
-  ASSERT_FALSE(c1.parse_token("insts=15000").has_value());
-  ASSERT_FALSE(c1.parse_token("profile_insts=50000").has_value());
-  const harness::GridSpec g1 = harness::grid_from_config(c1);
-
-  util::Config c2;
-  ASSERT_FALSE(c2.parse_token("workloads=2MEM-1").has_value());
-  ASSERT_FALSE(c2.parse_token("schemes=HF-RF,FCFS").has_value());
-  ASSERT_FALSE(c2.parse_token("insts=15000").has_value());
-  ASSERT_FALSE(c2.parse_token("profile_insts=50000").has_value());
-  const harness::GridSpec g2 = harness::grid_from_config(c2);
-
-  // Different grids, one configuration: the classic sweep identity differs,
-  // the config identity matches.
-  EXPECT_NE(harness::fingerprint(g1), harness::fingerprint(g2));
-  EXPECT_EQ(harness::config_fingerprint(g1), harness::config_fingerprint(g2));
-
-  // A knob that changes results must change the config identity.
-  util::Config c3;
-  ASSERT_FALSE(c3.parse_token("workloads=2MEM-1").has_value());
-  ASSERT_FALSE(c3.parse_token("schemes=HF-RF").has_value());
-  ASSERT_FALSE(c3.parse_token("insts=20000").has_value());
-  ASSERT_FALSE(c3.parse_token("profile_insts=50000").has_value());
-  EXPECT_NE(harness::config_fingerprint(g1),
-            harness::config_fingerprint(harness::grid_from_config(c3)));
-
-  // And the sharing is real: sweep grid 1, then the superset grid 2 against
-  // the same cache — its HF-RF point is served from the cache, not re-run.
-  const std::string dir = tmp_path("cache_share");
-  std::filesystem::remove_all(dir);
-  const auto orch_cfg = [&](const harness::GridSpec& g, const char* tag) {
-    harness::OrchestratorConfig oc;
-    oc.work_dir = dir + "/work-" + tag;
-    oc.cache_dir = dir + "/cache";
-    oc.fingerprint = harness::fingerprint(g);
-    oc.cache_fingerprint = harness::config_fingerprint(g);
-    oc.verbose = false;
-    return oc;
-  };
-  harness::Orchestrator first(orch_cfg(g1, "a"));
-  const harness::SweepSummary s1 = first.run(harness::grid_points(g1));
-  ASSERT_TRUE(s1.complete());
-  EXPECT_EQ(s1.ok, 1u);
-  EXPECT_EQ(s1.cache_hits, 0u);
-
-  harness::Orchestrator second(orch_cfg(g2, "b"));
-  const harness::SweepSummary s2 = second.run(harness::grid_points(g2));
-  ASSERT_TRUE(s2.complete());
-  EXPECT_EQ(s2.ok, 2u);
-  EXPECT_EQ(s2.cache_hits, 1u) << "shared point must be a cache hit";
-  EXPECT_EQ(s2.executed, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Orchestrator checkpoint plumbing.
 
@@ -677,12 +616,18 @@ TEST(CostModel, LongestFirstOrderSortsByCostThenIndex) {
 
 TEST(ResolveJobs, ExplicitEnvAndAutoFallback) {
   EXPECT_EQ(harness::resolve_jobs(3), 3u);
+  ::unsetenv("MEMSCHED_JOBS");
+  const std::uint32_t hardware = harness::resolve_jobs(0);
+  EXPECT_GE(hardware, 1u);
   ::setenv("MEMSCHED_JOBS", "2", 1);
   EXPECT_EQ(harness::resolve_jobs(0), 2u);
   ::setenv("MEMSCHED_JOBS", "not-a-number", 1);
-  EXPECT_GE(harness::resolve_jobs(0), 1u);  // garbage env → hardware fallback
+  EXPECT_EQ(harness::resolve_jobs(0), hardware);  // garbage env → hardware fallback
+  // Above UINT32_MAX is garbage too, not a width truncated modulo 2^32
+  // (5000000000 would wrap to 705032704).
+  ::setenv("MEMSCHED_JOBS", "5000000000", 1);
+  EXPECT_EQ(harness::resolve_jobs(0), hardware);
   ::unsetenv("MEMSCHED_JOBS");
-  EXPECT_GE(harness::resolve_jobs(0), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -878,6 +823,33 @@ TEST(OrchestratorPool, KilledWorkerRecordedThenResumeRepairsByteIdentical) {
 
   EXPECT_EQ(slurp(mPool), slurp(mRef));
   EXPECT_EQ(resumed.report().dump(2), reference.report().dump(2));
+}
+
+TEST(OrchestratorPool, HugeWidthForksOnlyOneChildPerPoint) {
+  // jobs= far above the point count sizes the pool to the points, not to
+  // the request: the sweep completes instead of failing to allocate
+  // UINT32_MAX worker slots up front.
+  const std::string forks = tmp_path("huge_width.forks");
+  std::remove(forks.c_str());
+  const auto logged = [&forks](const std::string& name) {
+    harness::PointSpec p = ok_point(name, 1.0);
+    p.body = [forks] {
+      std::ofstream(forks, std::ios::app) << ::getpid() << '\n';
+      return util::Json::object();
+    };
+    return p;
+  };
+  harness::OrchestratorConfig cfg = quick_config("huge_width");
+  cfg.jobs = std::numeric_limits<std::uint32_t>::max();
+  harness::Orchestrator orch(cfg);
+  const harness::SweepSummary s = orch.run({logged("a"), logged("b")});
+  EXPECT_TRUE(s.complete());
+  EXPECT_EQ(s.ok, 2u);
+  EXPECT_EQ(s.executed, 2u);
+  std::set<std::string> pids;
+  std::istringstream lines(slurp(forks));
+  for (std::string pid; std::getline(lines, pid);) pids.insert(pid);
+  EXPECT_EQ(pids.size(), 2u);
 }
 
 TEST(OrchestratorPool, WatchdogKillsHungChildOthersComplete) {

@@ -1,8 +1,10 @@
-// Unit tests for src/util: RNG, statistics, fixed-point, bitops, config.
+// Unit tests for src/util: RNG, statistics, fixed-point, bitops, config,
+// atomic file replacement and retry backoff.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -13,9 +15,11 @@
 #include <vector>
 
 #include "util/atomic_file.hpp"
+#include "util/backoff.hpp"
 #include "util/bitops.hpp"
 #include "util/config.hpp"
 #include "util/fixed_point.hpp"
+#include "util/fs_fault.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -537,12 +541,44 @@ TEST(Config, EditDistanceBasics) {
 // ---------------------------------------------------------------------------
 // Atomic file replacement under concurrent writers.
 
+namespace fs = std::filesystem;
+
 std::string slurp_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
 }
+
+std::string tmp_dir(const std::string& name) {
+  const std::string d = testing::TempDir() + "memsched_util_" + name;
+  fs::remove_all(d);
+  return d;
+}
+
+void spew(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Scripted fault hooks: fail one named op with one errno for the first
+/// `fail_count` consultations, optionally clamp writes.
+struct ScriptedFaults : util::FsFaultHooks {
+  std::string fail_name;
+  int fail_errno = 0;
+  int fail_count = 0;  // -1 = always
+  std::size_t clamp = 0;
+
+  std::size_t clamp_write(std::size_t requested) override {
+    if (clamp == 0 || requested <= clamp) return requested;
+    return clamp;
+  }
+  int fail_op(const char* op) override {
+    if (fail_name != op || fail_count == 0) return 0;
+    if (fail_count > 0) --fail_count;
+    return fail_errno;
+  }
+};
 
 TEST(AtomicFile, WritesAndReplaces) {
   const std::string path = testing::TempDir() + "memsched_atomic_basic";
@@ -603,6 +639,106 @@ TEST(AtomicFile, TwoInterleavedWritersNeverPublishTornBytes) {
   }
   EXPECT_EQ(leftovers, 0u);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Retry backoff: the one schedule every harness retry loop shares. Pure
+// function of (base, cap, attempt) — exercised here under fake time.
+
+TEST(Backoff, ExponentialScheduleIsDeterministicAndCapped) {
+  const util::Backoff b{0.5, 60.0};
+  EXPECT_DOUBLE_EQ(b.delay_seconds(1), 0.5);
+  EXPECT_DOUBLE_EQ(b.delay_seconds(2), 1.0);
+  EXPECT_DOUBLE_EQ(b.delay_seconds(3), 2.0);
+  EXPECT_DOUBLE_EQ(b.delay_seconds(7), 32.0);
+  EXPECT_DOUBLE_EQ(b.delay_seconds(8), 60.0);   // 64 would overshoot the cap
+  EXPECT_DOUBLE_EQ(b.delay_seconds(200), 60.0); // stays capped forever
+
+  const util::Backoff disabled{0.0, 60.0};
+  for (std::uint32_t a = 0; a < 10; ++a) EXPECT_DOUBLE_EQ(disabled.delay_seconds(a), 0.0);
+}
+
+TEST(Backoff, ReadyAtAdvancesFakeTimeWithoutSleeping) {
+  const util::Backoff b{0.25, 60.0};
+  const util::MonotonicTime epoch{};  // fake clock: no host-time read at all
+  EXPECT_DOUBLE_EQ(util::seconds_between(epoch, b.ready_at(epoch, 1)), 0.25);
+  EXPECT_DOUBLE_EQ(util::seconds_between(epoch, b.ready_at(epoch, 3)), 1.0);
+  // Deterministic in `now`: shifting the failure instant shifts the deadline
+  // by exactly the same amount.
+  const util::MonotonicTime later = epoch + util::seconds_to_duration(5.0);
+  EXPECT_DOUBLE_EQ(util::seconds_between(b.ready_at(epoch, 2), b.ready_at(later, 2)),
+                   5.0);
+}
+
+// ---------------------------------------------------------------------------
+// atomic_file error surfacing: which op failed, with which errno, injected
+// through the util::FsFaultHooks seam.
+
+TEST(AtomicFile, ErrorsCarryFailingOpAndErrno) {
+  const std::string dir = tmp_dir("atomic_err");
+  fs::create_directories(dir);
+  const std::string target = dir + "/file.bin";
+  spew(target, "previous contents");
+
+  const struct {
+    const char* op_name;
+    int err;
+    util::FileOp op;
+  } cases[] = {
+      {"open", EACCES, util::FileOp::kOpen},
+      {"write", ENOSPC, util::FileOp::kWrite},
+      {"fsync", ENOSPC, util::FileOp::kFsync},
+      {"close", EIO, util::FileOp::kClose},
+      {"rename", EIO, util::FileOp::kRename},
+  };
+  for (const auto& c : cases) {
+    ScriptedFaults faults;
+    faults.fail_name = c.op_name;
+    faults.fail_errno = c.err;
+    faults.fail_count = 1;
+    util::ScopedFsFaults armed(&faults);
+    try {
+      util::atomic_write_file(target, "new contents");
+      FAIL() << "no throw for failing op " << c.op_name;
+    } catch (const util::AtomicFileError& e) {
+      EXPECT_EQ(e.op(), c.op) << c.op_name;
+      EXPECT_EQ(e.errno_value(), c.err) << c.op_name;
+      EXPECT_NE(std::string(e.what()).find(c.op_name), std::string::npos)
+          << "message must name the op: " << e.what();
+    }
+    // Failure is atomic too: target untouched, no tmp litter.
+    EXPECT_EQ(slurp_file(target), "previous contents") << c.op_name;
+    std::size_t tmp_files = 0;
+    for (const auto& de : fs::directory_iterator(dir)) {
+      if (de.path().filename().string().find(".tmp.") != std::string::npos) ++tmp_files;
+    }
+    EXPECT_EQ(tmp_files, 0u) << c.op_name;
+  }
+
+  util::atomic_write_file(target, "new contents");  // faults gone: succeeds
+  EXPECT_EQ(slurp_file(target), "new contents");
+}
+
+TEST(AtomicFile, FsyncAndCloseFailuresAreDistinct) {
+  // The regression this pins: collapsing fsync/close failures into one
+  // generic error loses the "durability lost" vs "writeback failed"
+  // distinction.
+  EXPECT_STREQ(util::file_op_name(util::FileOp::kFsync), "fsync");
+  EXPECT_STREQ(util::file_op_name(util::FileOp::kClose), "close");
+  EXPECT_STREQ(util::file_op_name(util::FileOp::kOpen), "open");
+  EXPECT_STREQ(util::file_op_name(util::FileOp::kWrite), "write");
+  EXPECT_STREQ(util::file_op_name(util::FileOp::kRename), "rename");
+}
+
+TEST(AtomicFile, ShortWriteClampLoopsToCompletion) {
+  const std::string dir = tmp_dir("atomic_short");
+  fs::create_directories(dir);
+  ScriptedFaults faults;
+  faults.clamp = 5;
+  util::ScopedFsFaults armed(&faults);
+  const std::string big(4096, 'q');
+  util::atomic_write_file(dir + "/big.bin", big);
+  EXPECT_EQ(slurp_file(dir + "/big.bin"), big);
 }
 
 }  // namespace

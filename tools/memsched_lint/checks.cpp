@@ -577,7 +577,7 @@ void check_ckpt_symmetry(const std::string& rel, const Sig& s,
 // ---------------------------------------------------------------------------
 // cache-entry-framing
 //
-// The result cache frames entries through paired free functions named
+// Record codecs written as paired free functions named
 // encode_<kind>(Writer&, ...) / decode_<kind>(Reader&, ...). Same failure
 // mode as ckpt-symmetry — a writer/reader that disagree about the field
 // sequence corrupt silently — but the pairing key is the function-name

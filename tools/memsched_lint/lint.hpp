@@ -16,7 +16,7 @@
 //                        must match, and every member written by save_state
 //                        must be mentioned by load_state
 //   cache-entry-framing  paired free functions encode_<kind> / decode_<kind>
-//                        (result-cache entry codecs) must frame the same
+//                        (ckpt-framed record codecs) must frame the same
 //                        put_*/get_* field sequence; a divergence decodes
 //                        garbage from every stored entry
 //   contract-guarded-main main() in tools/, bench/ and examples/ must route

@@ -13,15 +13,14 @@
 // an uninterrupted run. Failed points (bad config, livelock, budget, crash,
 // timeout) are recorded, retried up to attempts=, then skipped — the rest of
 // the sweep still completes and the report marks the gaps.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ckpt/signal.hpp"
-#include "mc/fault_injector.hpp"
 #include "harness/bench_registry.hpp"
 #include "harness/grid.hpp"
 #include "harness/guarded_main.hpp"
@@ -46,29 +45,11 @@ int usage() {
       "  benches  [bindir=build/bench]\n"
       "  common   [manifest=path] [report=path] [timeout=seconds] [attempts=N]\n"
       "           [backoff=seconds] [strict=0|1] [quiet=0|1]\n"
-      "           [jobs=N | --jobs N] [cache=DIR | --cache DIR]\n"
+      "           [jobs=N | --jobs N]\n"
       "           jobs= = process-pool width; 0 (default) = auto: MEMSCHED_JOBS\n"
       "           env, else all cores. Reports are byte-identical at any width.\n"
-      "           cache= (or MEMSCHED_CACHE env) = content-addressed result\n"
-      "           store: already-computed points splice in without re-running;\n"
-      "           output bytes are identical to a cold run. Cache I/O errors\n"
-      "           degrade to re-simulation, never a failed sweep.\n");
+      "           Re-running over the same manifest= replays its finished points.\n");
   throw std::invalid_argument("bad sweep command line");
-}
-
-/// Deterministic chaos source for the result cache, armed from the
-/// MEMSCHED_CACHE_FSFAULT environment variable ("seed=N,short_write=P,
-/// enospc=P,eio=P,bitflip=P"). Unset = no injector, zero overhead. Owned
-/// here so it outlives the orchestrator that borrows the hook pointer.
-util::FsFaultHooks* cache_fault_hooks() {
-  static const std::unique_ptr<mc::FsFaultInjector> injector = [] {
-    const char* spec = std::getenv("MEMSCHED_CACHE_FSFAULT");
-    if (spec == nullptr || *spec == '\0') {
-      return std::unique_ptr<mc::FsFaultInjector>{};
-    }
-    return std::make_unique<mc::FsFaultInjector>(mc::FsFaultConfig::parse(spec));
-  }();
-  return injector.get();
 }
 
 harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
@@ -83,17 +64,15 @@ harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
   // jobs=0 = auto (MEMSCHED_JOBS env, else hardware_concurrency); the
   // orchestrator resolves it. Parallelism never enters the fingerprint:
   // the sweep's identity — and its output bytes — are the same at any width.
-  oc.jobs = static_cast<std::uint32_t>(cli.get_uint("jobs", 0));
-  oc.stop = &ckpt::stop_flag();
-  // cache= on the command line wins; MEMSCHED_CACHE is the fleet-wide
-  // default (CI exports one shared store for every sweep invocation).
-  oc.cache_dir = cli.get_string("cache", "");
-  if (oc.cache_dir.empty()) {
-    if (const char* env = std::getenv("MEMSCHED_CACHE"); env != nullptr) {
-      oc.cache_dir = env;
-    }
+  const std::uint64_t jobs = cli.get_uint("jobs", 0);
+  if (jobs > std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr, "jobs=%llu is out of range (at most %u)\n",
+                 static_cast<unsigned long long>(jobs),
+                 std::numeric_limits<std::uint32_t>::max());
+    usage();
   }
-  if (!oc.cache_dir.empty()) oc.cache_faults = cache_fault_hooks();
+  oc.jobs = static_cast<std::uint32_t>(jobs);
+  oc.stop = &ckpt::stop_flag();
   return oc;
 }
 
@@ -116,11 +95,6 @@ int finish(const util::Config& cli, harness::Orchestrator& orch,
   std::printf("sweep: %zu points, %zu ok (%zu resumed), %zu failed "
               "[%.2f s wall, jobs=%u]\n",
               s.total, s.ok, s.resumed, s.failed, s.wall_ms / 1000.0, s.jobs);
-  if (orch.result_cache() != nullptr) {
-    // Separate line, never folded into the summary above: smoke scripts
-    // pattern-match that line and warm runs must not perturb it.
-    std::printf("cache: %zu hits\n", s.cache_hits);
-  }
   for (const harness::PointRecord& r : orch.manifest().records()) {
     if (!r.ok()) {
       std::printf("  gap: %s (%s) %s\n", r.name.c_str(), r.status.c_str(),
@@ -138,7 +112,7 @@ int cmd_grid(const util::Config& cli) {
   // adds its orchestration keys on top.
   std::vector<std::string_view> known(harness::grid_keys());
   for (const char* k : {"manifest", "report", "timeout", "attempts", "backoff",
-                        "strict", "quiet", "jobs", "cache"}) {
+                        "strict", "quiet", "jobs"}) {
     known.push_back(k);
   }
   if (const auto err = cli.check_known(known, {"fault."})) {
@@ -157,11 +131,7 @@ int cmd_grid(const util::Config& cli) {
   // changes a point's *result* belongs in it. grid_fingerprint builds it on
   // top of SystemConfig::fingerprint() so new simulator knobs (engine=, ...)
   // can never silently drop out of it again.
-  harness::OrchestratorConfig oc = orchestrator_from(cli, harness::fingerprint(spec));
-  // Cache entries key on the point-independent config identity, so two grids
-  // that share a configuration share cached points.
-  oc.cache_fingerprint = harness::config_fingerprint(spec);
-  harness::Orchestrator orch(std::move(oc));
+  harness::Orchestrator orch(orchestrator_from(cli, harness::fingerprint(spec)));
   const harness::SweepSummary s = orch.run(harness::grid_points(spec));
   return finish(cli, orch, s);
 }
@@ -169,7 +139,7 @@ int cmd_grid(const util::Config& cli) {
 int cmd_benches(const util::Config& cli) {
   if (const auto err = cli.check_known({"bindir", "manifest", "report", "timeout",
                                         "attempts", "backoff", "strict", "quiet",
-                                        "jobs", "cache"})) {
+                                        "jobs"})) {
     throw std::invalid_argument(*err);
   }
   const std::string bindir = cli.get_string("bindir", "build/bench");
@@ -201,9 +171,9 @@ int main(int argc, char** argv) {
     ckpt::install_stop_handlers();
     if (argc < 2) return usage();
     const std::string cmd = argv[1];
-    // The tool speaks key=value, but jobs and cache also get the
-    // conventional flag spelling (--jobs N, --cache DIR) since that is what
-    // every other build tool calls them; translate before parsing.
+    // The tool speaks key=value, but jobs also gets the conventional flag
+    // spelling (--jobs N) since that is what every other build tool calls
+    // it; translate before parsing.
     std::vector<std::string> arg_store;
     for (int i = 2; i < argc; ++i) {
       const std::string a = argv[i];
@@ -211,10 +181,6 @@ int main(int argc, char** argv) {
         arg_store.push_back("jobs=" + std::string(argv[++i]));
       } else if (a.rfind("--jobs=", 0) == 0) {
         arg_store.push_back("jobs=" + a.substr(7));
-      } else if (a == "--cache" && i + 1 < argc) {
-        arg_store.push_back("cache=" + std::string(argv[++i]));
-      } else if (a.rfind("--cache=", 0) == 0) {
-        arg_store.push_back("cache=" + a.substr(8));
       } else {
         arg_store.push_back(a);
       }
