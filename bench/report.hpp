@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "sim/workloads.hpp"
 #include "util/config.hpp"
 
 namespace memsched::bench {
@@ -34,6 +35,14 @@ struct BenchSetup {
   static BenchSetup parse(int argc, char** argv,
                           const std::vector<std::string_view>& extra_keys = {});
 };
+
+/// Runs every (workload, scheme) pair of a figure's grid: profiles each
+/// application the workloads use first (serially, so the parallel phase only
+/// reads the profile cache), then evaluates the pairs across
+/// sim::default_thread_count() workers. Returns runs[workload][scheme].
+std::vector<std::vector<sim::WorkloadRun>> run_grid(
+    sim::Experiment& exp, const std::vector<sim::Workload>& workloads,
+    const std::vector<std::string>& schemes);
 
 /// Prints the standard header: binary name, paper artefact, configuration.
 void print_header(const BenchSetup& setup, const char* artefact,

@@ -15,9 +15,8 @@ namespace memsched::harness {
 struct BenchEntry {
   std::string name;                   ///< binary name under build/bench/
   std::vector<std::string> smoke_args;  ///< default small-parameter overrides
-  double cost_weight = 1.0;  ///< relative expected runtime; seeds the parallel
-                             ///< executor's longest-first dispatch until a
-                             ///< timing sidecar from a real run exists
+  double cost_weight = 1.0;  ///< relative expected runtime; orders the
+                             ///< parallel executor's longest-first dispatch
 };
 
 /// All figure/table benches, in report order.

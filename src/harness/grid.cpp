@@ -4,6 +4,7 @@
 
 #include "ckpt/signal.hpp"
 #include "harness/fingerprint.hpp"
+#include "harness/interleave.hpp"
 #include "sim/engine.hpp"
 #include "sim/workloads.hpp"
 #include "util/config.hpp"
@@ -28,8 +29,7 @@ const std::vector<std::string_view>& grid_keys() {
   static const std::vector<std::string_view> kKeys = {
       "workloads",     "schemes", "insts",   "repeats",         "warmup",
       "profile_insts", "seed",    "profile_seed", "interleave", "engine",
-      "verify",        "progress_window",    "ckpt",           "ckpt_interval",
-      "fault"};
+      "verify",        "progress_window",    "ckpt_interval", "fault"};
   return kKeys;
 }
 
@@ -42,23 +42,11 @@ GridSpec grid_from_config(const util::Config& cli) {
   cfg.profile_insts = cli.get_uint("profile_insts", 80'000);
   cfg.eval_seed = cli.get_uint("seed", cfg.eval_seed);
   cfg.profile_seed = cli.get_uint("profile_seed", cfg.profile_seed);
-  const std::string il = cli.get_string("interleave", "hybrid");
-  if (il == "line") {
-    cfg.base.interleave = dram::Interleave::kLineInterleave;
-  } else if (il == "page") {
-    cfg.base.interleave = dram::Interleave::kPageInterleave;
-  } else if (il == "hybrid") {
-    cfg.base.interleave = dram::Interleave::kHybrid;
-  } else {
-    throw std::invalid_argument("unknown interleave '" + il + "'");
-  }
+  cfg.base.interleave = interleave_from_string(cli.get_string("interleave", "hybrid"));
   cfg.base.engine = sim::engine_from_string(cli.get_string("engine", "skip"));
   cfg.base.audit.enabled = cli.get_bool("verify", cfg.base.audit.enabled);
   cfg.base.progress_window_ticks =
       cli.get_uint("progress_window", cfg.base.progress_window_ticks);
-  // Per-point checkpointing defaults on; degraded off under verify= (the
-  // auditor's shadow state is not serialized, so the pair is incompatible).
-  spec.ckpt_on = cli.get_bool("ckpt", true) && !cfg.base.audit.enabled;
   spec.ckpt_interval = cli.get_uint("ckpt_interval", 1'000'000);
 
   mc::FaultConfig& fault = spec.fault;
@@ -110,8 +98,7 @@ std::vector<PointSpec> grid_points(const GridSpec& spec) {
       p.name = wname + "/" + scheme;
       // Dispatch hint for the parallel executor: simulated work scales with
       // instruction count x cores (workload names lead with the core count,
-      // "4MEM-1" = 4 cores). Replaced by measured wall time once a timing
-      // sidecar exists; a wrong hint only costs wall clock.
+      // "4MEM-1" = 4 cores). A wrong hint only costs wall clock.
       const double cores = (wname.empty() || wname[0] < '1' || wname[0] > '9')
                                ? 1.0
                                : static_cast<double>(wname[0] - '0');
@@ -121,8 +108,8 @@ std::vector<PointSpec> grid_points(const GridSpec& spec) {
       const sim::ExperimentConfig cfg = spec.cfg;
       const mc::FaultConfig fault = spec.fault;
       const Tick ckpt_interval = spec.ckpt_interval;
-      auto payload_for = [cfg, wname, scheme, fault, chaos,
-                          ckpt_interval](const std::string& ckpt_dir) {
+      p.body = [cfg, wname, scheme, fault, chaos,
+                ckpt_interval](const std::string& ckpt_dir) {
         sim::ExperimentConfig point_cfg = cfg;
         if (chaos) {
           point_cfg.base.fault = fault;
@@ -131,11 +118,12 @@ std::vector<PointSpec> grid_points(const GridSpec& spec) {
           // to demonstrate containment.
           point_cfg.base.audit.abort_on_violation = false;
         }
-        if (!ckpt_dir.empty()) {
-          point_cfg.ckpt_dir = ckpt_dir;
-          point_cfg.ckpt_interval = ckpt_interval;
-          point_cfg.ckpt_stop = &ckpt::stop_flag();
-        }
+        // Every point checkpoints into its own directory; Experiment turns
+        // this off under verify= (the auditor's shadow state is not
+        // serialized).
+        point_cfg.ckpt_dir = ckpt_dir;
+        point_cfg.ckpt_interval = ckpt_interval;
+        point_cfg.ckpt_stop = &ckpt::stop_flag();
         sim::Experiment exp(point_cfg);
         const sim::Workload w = sim::resolve_workload(wname);
         const sim::WorkloadRun r = exp.run(w, scheme);
@@ -150,11 +138,6 @@ std::vector<PointSpec> grid_points(const GridSpec& spec) {
         payload["bus_utilization"] = r.bus_utilization;
         return payload;
       };
-      if (spec.ckpt_on) {
-        p.body_ckpt = payload_for;
-      } else {
-        p.body = [payload_for]() { return payload_for(std::string{}); };
-      }
       points.push_back(std::move(p));
     }
   }

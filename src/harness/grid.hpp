@@ -31,7 +31,6 @@ struct GridSpec {
   std::string fault_points_csv;
   std::vector<std::string> workloads;
   std::vector<std::string> schemes;
-  bool ckpt_on = true;
   Tick ckpt_interval = 1'000'000;
 };
 

@@ -13,7 +13,7 @@ namespace {
 
 // v2: records carry their point index (persisted sorted by it — parallel
 // sweeps checkpoint out of order yet write deterministic bytes) and wall_ms
-// moved to the .timing.json sidecar. A v1 manifest fails the format check
+// left the manifest. A v1 manifest fails the format check
 // below; delete it and start the sweep over.
 constexpr const char* kFormat = "memsched-sweep-manifest-v2";
 

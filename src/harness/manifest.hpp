@@ -28,9 +28,9 @@ struct PointRecord {
   int term_signal = 0;   ///< terminating signal (crash / timeout kill)
   std::uint32_t attempts = 0;
   double wall_ms = 0.0;  ///< wall clock of the final attempt; in-memory only —
-                         ///< timing lives in the <manifest>.timing.json
-                         ///< sidecar, never in the manifest or report, so
-                         ///< those stay byte-identical across jobs= settings
+                         ///< timing goes to the timing report, never into
+                         ///< the manifest or report, so those stay
+                         ///< byte-identical across jobs= settings
   std::string payload;   ///< serialized JSON result, verbatim (ok points)
   std::string error;     ///< structured error line / diagnostic (failed points)
 

@@ -83,7 +83,6 @@ std::uint32_t resolve_jobs(std::uint32_t requested) {
 
 Orchestrator::Orchestrator(OrchestratorConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.max_attempts == 0) cfg_.max_attempts = 1;
-  retry_backoff_.base_seconds = cfg_.backoff_seconds;
   if (!cfg_.manifest_path.empty()) {
     manifest_.open(cfg_.manifest_path, cfg_.fingerprint);
   }
@@ -95,17 +94,6 @@ Orchestrator::Orchestrator(OrchestratorConfig cfg) : cfg_(std::move(cfg)) {
     throw std::runtime_error("orchestrator: cannot create work dir " + cfg_.work_dir +
                              ": " + std::strerror(errno));
   }
-  cost_.load(timing_path());
-}
-
-std::string Orchestrator::timing_path() const {
-  return cfg_.manifest_path.empty() ? cfg_.work_dir + "/timing.json"
-                                    : cfg_.manifest_path + ".timing.json";
-}
-
-void Orchestrator::commit_record(const PointRecord& rec) {
-  manifest_.record(rec);  // checkpoint after *every* point
-  if (rec.ok() && rec.wall_ms > 0.0) cost_.observe(rec.name, rec.wall_ms);
 }
 
 SweepSummary Orchestrator::run(const std::vector<PointSpec>& points) {
@@ -115,7 +103,6 @@ SweepSummary Orchestrator::run(const std::vector<PointSpec>& points) {
   summary.jobs = run_jobs_;
   run_wall_ms_ = ms_since(start);
   summary.wall_ms = run_wall_ms_;
-  cost_.save(timing_path());
   return summary;
 }
 
@@ -124,12 +111,11 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
   SweepSummary summary;
   summary.total = points.size();
 
-  // A pending entry is a point waiting for a worker slot; retried points
-  // come back with a backoff gate so the pool never blocks on a sleep.
+  // A pending entry is a point waiting for a worker slot; a retried point
+  // re-enters the queue like any other.
   struct Pending {
     std::size_t index = 0;
     std::uint32_t attempt = 1;  // attempt number the next run will be
-    Clock::time_point ready_at{};
   };
   // A slot is one live forked child.
   struct Slot {
@@ -142,8 +128,7 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
     bool stop_forwarded = false;
   };
 
-  // Estimates are frozen at pool start: observe() during the run must not
-  // change the dispatch comparator mid-sort.
+  // Expected cost per point: its static hint, 1 when unknown.
   std::vector<double> est(points.size(), 1.0);
   std::vector<Pending> pending;
   pending.reserve(points.size());
@@ -159,11 +144,11 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
       }
       continue;
     }
-    est[i] = cost_.estimate(point.name, point.cost_hint);
-    pending.push_back(Pending{i, 1, Clock::time_point{}});
+    if (point.cost_hint > 0.0) est[i] = point.cost_hint;
+    pending.push_back(Pending{i, 1});
   }
 
-  // Longest-expected-first (LPT): start the slowest points first so the
+  // Longest-first (LPT): start the slowest points first so the
   // sweep does not end with one straggler hogging a lone worker.
   const LongestFirst longest{est};
   const auto lpt_less = [&longest](const Pending& a, const Pending& b) {
@@ -181,7 +166,7 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
   double done_cost = 0.0;  // estimated cost of completed points (ETA input)
   bool halting = false;    // stop dispatching (graceful stop or interrupted child)
 
-  // Final outcome of one attempt: retry with backoff, halt on interruption,
+  // Final outcome of one attempt: retry, halt on interruption,
   // or commit to the manifest. Shared by the reaper and the fork-failure path.
   const auto handle_outcome = [&](PointRecord rec, std::size_t index,
                                   std::uint32_t attempt) {
@@ -204,17 +189,11 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
                      points[index].name.c_str(), attempt, rec.status.c_str(),
                      rec.category.c_str());
       }
-      Pending p;
-      p.index = index;
-      p.attempt = attempt + 1;
-      // Capped exponential schedule (util::Backoff): a persistently failing
-      // point backs off harder each attempt but can never park a pool slot
-      // behind an unbounded wait.
-      p.ready_at = retry_backoff_.ready_at(util::monotonic_now(), attempt);
+      const Pending p{index, attempt + 1};
       pending.insert(std::lower_bound(pending.begin(), pending.end(), p, lpt_less), p);
       return;
     }
-    commit_record(rec);
+    manifest_.record(rec);  // checkpoint after *every* point
     ++summary.executed;
     done_cost += est[index];
     if (rec.ok()) {
@@ -251,15 +230,10 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
       if (slots.empty()) break;
     }
 
-    // Dispatch: fill free slots with ready points, longest expected first
-    // (pending is kept sorted; the scan skips entries still in backoff).
+    // Dispatch: fill free slots, longest first (pending is kept sorted).
     while (!halting && slots.size() < width && !pending.empty()) {
-      const auto now = util::monotonic_now();
-      const auto it = std::find_if(pending.begin(), pending.end(),
-                                   [now](const Pending& p) { return p.ready_at <= now; });
-      if (it == pending.end()) break;
-      const Pending p = *it;
-      pending.erase(it);
+      const Pending p = pending.front();
+      pending.erase(pending.begin());
       const pid_t pid = spawn_child(points[p.index], p.index);
       if (pid < 0) {
         PointRecord rec;
@@ -363,11 +337,8 @@ Orchestrator::ChildFiles Orchestrator::child_files(std::size_t index) const {
 pid_t Orchestrator::spawn_child(const PointSpec& point, std::size_t index) {
   const ChildFiles files = child_files(index);
   std::remove(files.result.c_str());
-  std::string ckpt_dir;
-  if (point.body_ckpt) {
-    ckpt_dir = ckpt_dir_for(index);
-    ::mkdir(ckpt_dir.c_str(), 0755);  // EEXIST expected across retries
-  }
+  const std::string ckpt_dir = ckpt_dir_for(index);
+  if (point.argv.empty()) ::mkdir(ckpt_dir.c_str(), 0755);  // EEXIST across retries
 
   // Flush before fork so buffered output is not emitted twice.
   std::fflush(stdout);
@@ -392,13 +363,8 @@ pid_t Orchestrator::spawn_child(const PointSpec& point, std::size_t index) {
     ::_exit(kExitInternal);
   }
   try {
-    if (point.body_ckpt) {
-      point.body_ckpt(ckpt_dir).write_file(files.result, -1);
-    } else if (point.body) {
-      point.body().write_file(files.result, -1);
-    } else {
-      throw std::runtime_error("point has no body");
-    }
+    if (!point.body) throw std::runtime_error("point has no body");
+    point.body(ckpt_dir).write_file(files.result, -1);
     std::fflush(nullptr);
     ::_exit(kExitOk);
   } catch (...) {
@@ -474,6 +440,7 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
       rec.error = "child exited 0 but wrote no result file";
       return rec;
     }
+    remove_tree(ckpt_dir_for(index));
   } else {
     // Exec points produce human-readable output, captured per point; the
     // report records where it went rather than duplicating it.
@@ -483,7 +450,6 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
   }
   rec.status = "ok";
   rec.category = "ok";
-  if (point.body_ckpt) remove_tree(ckpt_dir_for(index));
   return rec;
 }
 

@@ -3,32 +3,30 @@
 // Runs a list of experiment points, each in its own forked child, under a
 // wall-clock watchdog. Up to N children run concurrently (N = 1 is simply a
 // pool of width one), reaped by a non-blocking waitpid loop and dispatched
-// longest-expected-first (per-point cost model: timing history of prior
-// runs, falling back to the caller's static hint). A hung point is SIGKILLed
-// and recorded as a structured "timeout" failure; a crashed point records
-// its signal; a point that exits with one of the exit_codes.hpp codes
-// records that diagnosis. Failed points are retried a bounded number of
-// times with backoff, then recorded and *skipped* — the rest of the sweep
-// still completes and the final report marks the gaps. After every completed
-// point the manifest is checkpointed (records index-sorted, so the bytes
-// never depend on completion order), which gives the determinism contract:
-// manifest and report are byte-identical at any jobs= width, across kills
-// and resumes. Wall-clock timing lives in sidecar files
-// (<manifest>.timing.json) and the timing report, never in the manifest or
-// report themselves.
+// longest-first by each point's static cost hint, so the dispatch order
+// depends only on the point list. A hung point is SIGKILLed and recorded as
+// a structured "timeout" failure; a crashed point records its signal; a point
+// that exits with one of the exit_codes.hpp codes records that diagnosis.
+// Failed points are retried a bounded number of times, then recorded and
+// *skipped* — the rest of the sweep still completes and the final report
+// marks the gaps. After every completed point the manifest is checkpointed
+// (records index-sorted, so the bytes never depend on completion order),
+// which gives the determinism contract: manifest and report are
+// byte-identical at any jobs= width, across kills and resumes. The manifest
+// is the sweep's only state; wall-clock timing goes to the timing report,
+// never into the manifest or report themselves.
 #pragma once
 
 #include <sys/types.h>
 
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "harness/cost_model.hpp"
 #include "harness/manifest.hpp"
-#include "util/backoff.hpp"
 #include "util/json.hpp"
 
 namespace memsched::harness {
@@ -37,22 +35,31 @@ namespace memsched::harness {
 /// returning the point's JSON result (called in the child), or an external
 /// command in `argv` (fork + exec; takes precedence when set).
 ///
-/// `body_ckpt`, when set, is preferred over `body`: it receives a per-point
-/// checkpoint directory (work_dir/point-<i>.ckpt.d) that survives watchdog
-/// kills and retries, so a re-attempted point resumes from its latest valid
-/// snapshot instead of starting over. The directory is deleted once the
-/// point succeeds.
+/// `body` receives a per-point checkpoint directory (work_dir/point-<i>.ckpt.d)
+/// that survives watchdog kills and retries, so a re-attempted point resumes
+/// from its latest valid snapshot instead of starting over. The directory is
+/// deleted once the point succeeds.
 struct PointSpec {
   std::string name;
-  std::function<util::Json()> body;
-  std::function<util::Json(const std::string& ckpt_dir)> body_ckpt;
+  std::function<util::Json(const std::string& ckpt_dir)> body;
   std::vector<std::string> argv;
 
-  /// Static cost hint for longest-expected-first dispatch when no timing
-  /// history exists (arbitrary units; only relative order matters). The grid
-  /// builder uses trace length x core count; bench entries carry weights.
-  /// 0 = unknown (treated as 1).
+  /// Static cost hint for longest-first dispatch (arbitrary units; only
+  /// relative order matters). The grid builder uses trace length x core
+  /// count; bench entries carry weights. 0 = unknown (treated as 1).
   double cost_hint = 0.0;
+};
+
+/// Dispatch order over point indices: longest expected first, index order
+/// on ties (deterministic regardless of container quirks). `est[i]` is the
+/// expected cost of point `i`; the pool sorts and re-inserts retries with
+/// this comparator.
+struct LongestFirst {
+  const std::vector<double>& est;
+  [[nodiscard]] bool operator()(std::size_t a, std::size_t b) const {
+    if (est[a] != est[b]) return est[a] > est[b];
+    return a < b;
+  }
 };
 
 struct OrchestratorConfig {
@@ -62,13 +69,10 @@ struct OrchestratorConfig {
 
   double timeout_seconds = 300.0;  ///< per-attempt wall-clock watchdog; 0 = none
   std::uint32_t max_attempts = 1;  ///< bounded retry (1 = no retry)
-  double backoff_seconds = 0.0;    ///< base of the capped exponential retry
-                                   ///< schedule (util::Backoff): the sleep
-                                   ///< before retry k is min(base*2^(k-1), 60s)
   bool verbose = true;   ///< per-point progress lines on stderr
 
   /// Process-pool width: up to this many forked points in flight, dispatched
-  /// longest-expected-first at every width; never more children than there
+  /// longest-first at every width; never more children than there
   /// are points to run. 0 = auto: MEMSCHED_JOBS from the environment, else
   /// hardware_concurrency.
   std::uint32_t jobs = 1;
@@ -147,20 +151,13 @@ class Orchestrator {
 
   [[nodiscard]] ChildFiles child_files(std::size_t index) const;
 
-  /// Per-point checkpoint directory (created on demand for body_ckpt
-  /// points); kept across retries, removed once the point succeeds.
+  /// Per-point checkpoint directory (created for every body point); kept
+  /// across retries, removed once the point succeeds.
   [[nodiscard]] std::string ckpt_dir_for(std::size_t index) const;
   [[nodiscard]] std::string child_error(const std::string& stderr_path) const;
 
-  /// Records a final per-point outcome: manifest checkpoint + timing.
-  void commit_record(const PointRecord& rec);
-
-  [[nodiscard]] std::string timing_path() const;
-
   OrchestratorConfig cfg_;
   Manifest manifest_;
-  CostModel cost_;
-  util::Backoff retry_backoff_;
   double run_wall_ms_ = 0.0;
   std::uint32_t run_jobs_ = 1;
 };

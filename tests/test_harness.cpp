@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/cost_model.hpp"
 #include "harness/fingerprint.hpp"
 #include "harness/guarded_main.hpp"
 #include "harness/manifest.hpp"
@@ -42,7 +41,7 @@ std::string tmp_path(const std::string& name) {
 harness::PointSpec ok_point(const std::string& name, double value) {
   harness::PointSpec p;
   p.name = name;
-  p.body = [value] {
+  p.body = [value](const std::string&) {
     util::Json j = util::Json::object();
     j["value"] = value;
     return j;
@@ -329,7 +328,9 @@ TEST(Orchestrator, RetriesThenRecordsFailureAndContinues) {
   oc.max_attempts = 3;
   harness::PointSpec bad;
   bad.name = "bad";
-  bad.body = []() -> util::Json { throw std::invalid_argument("unknown key 'x'"); };
+  bad.body = [](const std::string&) -> util::Json {
+    throw std::invalid_argument("unknown key 'x'");
+  };
   harness::Orchestrator orch(oc);
   const harness::SweepSummary s = orch.run({bad, ok_point("good", 4.0)});
   EXPECT_EQ(s.failed, 1u);
@@ -348,7 +349,7 @@ TEST(Orchestrator, ForkedChildExitCodeIsClassified) {
   harness::OrchestratorConfig oc = quick_config("exitcode");
   harness::PointSpec p;
   p.name = "livelocked";
-  p.body = []() -> util::Json {
+  p.body = [](const std::string&) -> util::Json {
     throw sim::LivelockError("livelock: injected point", 42, "dump text");
   };
   harness::Orchestrator orch(oc);
@@ -368,7 +369,7 @@ TEST(Orchestrator, WallClockWatchdogKillsHungChild) {
   oc.timeout_seconds = 0.3;
   harness::PointSpec hung;
   hung.name = "hung";
-  hung.body = []() -> util::Json {
+  hung.body = [](const std::string&) -> util::Json {
     volatile std::uint64_t spin = 0;
     for (;;) spin = spin + 1;  // a wedge the in-process watchdogs cannot see
   };
@@ -386,7 +387,7 @@ TEST(Orchestrator, CrashIsRecordedWithSignal) {
   harness::OrchestratorConfig oc = quick_config("crash");
   harness::PointSpec crash;
   crash.name = "crash";
-  crash.body = []() -> util::Json {
+  crash.body = [](const std::string&) -> util::Json {
     std::abort();
   };
   harness::Orchestrator orch(oc);
@@ -401,14 +402,13 @@ TEST(Orchestrator, CrashIsRecordedWithSignal) {
 TEST(Orchestrator, InterruptedSweepResumesByteIdentical) {
   const std::string mA = tmp_path("resume_a.json");
   const std::string mB = tmp_path("resume_b.json");
-  for (const std::string& m : {mA, mB}) {
-    std::remove(m.c_str());
-    std::remove((m + ".timing.json").c_str());
-  }
+  for (const std::string& m : {mA, mB}) std::remove(m.c_str());
 
   harness::PointSpec flaky;  // deterministic failure: same record every run
   flaky.name = "fails";
-  flaky.body = []() -> util::Json { throw std::invalid_argument("always"); };
+  flaky.body = [](const std::string&) -> util::Json {
+    throw std::invalid_argument("always");
+  };
   const std::vector<harness::PointSpec> points = {ok_point("p0", 0.5), flaky,
                                                   ok_point("p2", 2.5)};
 
@@ -514,14 +514,14 @@ TEST(GridFingerprint, EveryResultAffectingKnobParticipates) {
 // Orchestrator checkpoint plumbing.
 
 TEST(Orchestrator, BodyCkptGetsDirKeptAcrossRetriesRemovedOnSuccess) {
-  harness::OrchestratorConfig oc = quick_config("body_ckpt");
+  harness::OrchestratorConfig oc = quick_config("ckpt_dir");
   oc.max_attempts = 2;
   harness::PointSpec p;
   p.name = "ckpt-point";
   // First attempt writes a marker into the per-point checkpoint dir and
   // fails; the retry must see the SAME dir with the marker intact (that is
   // what lets a real point resume from its snapshot), then succeed.
-  p.body_ckpt = [](const std::string& ckpt_dir) {
+  p.body = [](const std::string& ckpt_dir) {
     const std::string marker = ckpt_dir + "/marker";
     if (!std::ifstream(marker).good()) {
       std::ofstream(marker) << "attempt1";
@@ -545,9 +545,6 @@ TEST(Orchestrator, ChildExitSixStopsSweepWithoutRecording) {
   harness::OrchestratorConfig oc = quick_config("interrupt6");
   oc.manifest_path = tmp_path("interrupt6.manifest");
   std::remove(oc.manifest_path.c_str());
-  // Dispatch is longest-expected-first even at width one: a timing history
-  // from an earlier run could order "first" after "parked".
-  std::remove((oc.manifest_path + ".timing.json").c_str());
   harness::PointSpec a = ok_point("first", 1.0);
   harness::PointSpec b;
   b.name = "parked";
@@ -565,45 +562,9 @@ TEST(Orchestrator, ChildExitSixStopsSweepWithoutRecording) {
 }
 
 // ---------------------------------------------------------------------------
-// Cost model + dispatch order for the parallel executor.
+// Dispatch order for the parallel executor.
 
-TEST(CostModel, EstimateFallsBackHintThenOne) {
-  harness::CostModel m;
-  EXPECT_DOUBLE_EQ(m.estimate("x", 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(m.estimate("x", 7.5), 7.5);
-  m.observe("x", 123.0);
-  EXPECT_DOUBLE_EQ(m.estimate("x", 7.5), 123.0);
-  EXPECT_TRUE(m.has("x"));
-  EXPECT_FALSE(m.has("y"));
-}
-
-TEST(CostModel, RoundTripsThroughSidecarFile) {
-  const std::string path = tmp_path("cost_model.json");
-  std::remove(path.c_str());
-  harness::CostModel m;
-  m.observe("slow", 900.0);
-  m.observe("fast", 10.0);
-  m.save(path);
-  harness::CostModel n;
-  n.load(path);
-  EXPECT_EQ(n.size(), 2u);
-  EXPECT_DOUBLE_EQ(n.estimate("slow", 0.0), 900.0);
-  EXPECT_DOUBLE_EQ(n.estimate("fast", 0.0), 10.0);
-  std::remove(path.c_str());
-}
-
-TEST(CostModel, CorruptOrMissingHistoryDegradesToHints) {
-  const std::string path = tmp_path("cost_model_bad.json");
-  { std::ofstream(path) << "this is not json"; }
-  harness::CostModel m;
-  m.load(path);  // must not throw — timing only orders dispatch
-  EXPECT_EQ(m.size(), 0u);
-  std::remove(path.c_str());
-  m.load(path);  // missing file: same story
-  EXPECT_EQ(m.size(), 0u);
-}
-
-TEST(CostModel, LongestFirstOrderSortsByCostThenIndex) {
+TEST(OrchestratorPool, LongestFirstOrderSortsByCostThenIndex) {
   const std::vector<double> est = {5.0, 9.0, 9.0, 1.0};
   std::vector<std::size_t> order = {0, 1, 2, 3};
   std::sort(order.begin(), order.end(), harness::LongestFirst{est});
@@ -649,7 +610,7 @@ harness::PointSpec sleepy_point(const std::string& name, double value,
   harness::PointSpec p;
   p.name = name;
   p.cost_hint = static_cast<double>(sleep_ms) + 1.0;
-  p.body = [value, sleep_ms] {
+  p.body = [value, sleep_ms](const std::string&) {
     ::usleep(sleep_ms * 1000);
     util::Json j = util::Json::object();
     j["value"] = value;
@@ -663,10 +624,7 @@ harness::PointSpec sleepy_point(const std::string& name, double value,
 TEST(OrchestratorPool, ManifestAndReportByteIdenticalToSerial) {
   const std::string mSerial = tmp_path("pool_vs_serial_a.manifest");
   const std::string mPool = tmp_path("pool_vs_serial_b.manifest");
-  for (const std::string& m : {mSerial, mPool}) {
-    std::remove(m.c_str());
-    std::remove((m + ".timing.json").c_str());
-  }
+  for (const std::string& m : {mSerial, mPool}) std::remove(m.c_str());
 
   // Sleeps shrink with the index, so under the pool later points finish
   // first — the exact completion order a naive append-to-manifest would leak.
@@ -698,9 +656,9 @@ TEST(OrchestratorPool, ManifestAndReportByteIdenticalToSerial) {
   // The determinism contract: byte-for-byte, manifest and report.
   EXPECT_EQ(slurp(mSerial), slurp(mPool));
   EXPECT_EQ(serial.report().dump(2), pool.report().dump(2));
-  // Wall clock lives in the sidecar, not the manifest.
+  // Wall clock lives in the timing report, not the manifest.
   EXPECT_FALSE(slurp(mPool).find("wall") != std::string::npos);
-  EXPECT_TRUE(slurp(mPool + ".timing.json").find("points") != std::string::npos);
+  EXPECT_EQ(pool.timing_report().at("points").members().size(), 6u);
 }
 
 TEST(OrchestratorPool, RetriedFlakyPointMatchesSerialBytes) {
@@ -710,7 +668,6 @@ TEST(OrchestratorPool, RetriedFlakyPointMatchesSerialBytes) {
   const std::string markerPool = tmp_path("pool_retry_b.marker");
   for (const std::string& f : {mSerial, mPool, markerSerial, markerPool}) {
     std::remove(f.c_str());
-    std::remove((f + ".timing.json").c_str());
   }
 
   const auto points_with = [](const std::string& marker) {
@@ -718,7 +675,7 @@ TEST(OrchestratorPool, RetriedFlakyPointMatchesSerialBytes) {
     flaky.name = "flaky";
     // First attempt dies AFTER leaving a marker; the retry sees the marker
     // and succeeds — deterministic two-attempt record either way.
-    flaky.body = [marker]() -> util::Json {
+    flaky.body = [marker](const std::string&) -> util::Json {
       if (!std::ifstream(marker).good()) {
         std::ofstream(marker) << "seen";
         throw std::runtime_error("first attempt dies");
@@ -736,7 +693,6 @@ TEST(OrchestratorPool, RetriedFlakyPointMatchesSerialBytes) {
   serial_cfg.fingerprint = "retry-sweep";
   serial_cfg.jobs = 1;
   serial_cfg.max_attempts = 2;
-  serial_cfg.backoff_seconds = 0.01;
   harness::Orchestrator serial(serial_cfg);
   EXPECT_TRUE(serial.run(points_with(markerSerial)).complete());
 
@@ -745,7 +701,6 @@ TEST(OrchestratorPool, RetriedFlakyPointMatchesSerialBytes) {
   pool_cfg.fingerprint = "retry-sweep";
   pool_cfg.jobs = 3;
   pool_cfg.max_attempts = 2;
-  pool_cfg.backoff_seconds = 0.01;
   harness::Orchestrator pool(pool_cfg);
   const harness::SweepSummary s = pool.run(points_with(markerPool));
   EXPECT_TRUE(s.complete());
@@ -762,10 +717,7 @@ TEST(OrchestratorPool, KilledWorkerRecordedThenResumeRepairsByteIdentical) {
   const std::string mRef = tmp_path("pool_kill_ref.manifest");
   const std::string marker = tmp_path("pool_kill.marker");
   const std::string markerRef = tmp_path("pool_kill_ref.marker");
-  for (const std::string& f : {mPool, mRef, marker, markerRef}) {
-    std::remove(f.c_str());
-    std::remove((f + ".timing.json").c_str());
-  }
+  for (const std::string& f : {mPool, mRef, marker, markerRef}) std::remove(f.c_str());
 
   const auto points_with = [](const std::string& m) {
     harness::PointSpec victim;
@@ -773,7 +725,7 @@ TEST(OrchestratorPool, KilledWorkerRecordedThenResumeRepairsByteIdentical) {
     // Simulates losing the worker process itself: first run, the forked
     // child is SIGKILLed mid-point (after leaving a marker); later runs
     // complete normally.
-    victim.body = [m]() -> util::Json {
+    victim.body = [m](const std::string&) -> util::Json {
       if (!std::ifstream(m).good()) {
         std::ofstream(m) << "died here";
         ::raise(SIGKILL);
@@ -833,7 +785,7 @@ TEST(OrchestratorPool, HugeWidthForksOnlyOneChildPerPoint) {
   std::remove(forks.c_str());
   const auto logged = [&forks](const std::string& name) {
     harness::PointSpec p = ok_point(name, 1.0);
-    p.body = [forks] {
+    p.body = [forks](const std::string&) {
       std::ofstream(forks, std::ios::app) << ::getpid() << '\n';
       return util::Json::object();
     };
@@ -858,7 +810,7 @@ TEST(OrchestratorPool, WatchdogKillsHungChildOthersComplete) {
   cfg.timeout_seconds = 0.3;
   harness::PointSpec hung;
   hung.name = "hung";
-  hung.body = [] {
+  hung.body = [](const std::string&) {
     ::usleep(5 * 1000 * 1000);
     return util::Json::object();
   };
@@ -877,7 +829,6 @@ TEST(OrchestratorPool, ChildExitSixHaltsPoolWithoutRecordingIt) {
   harness::OrchestratorConfig cfg = quick_config("pool_exit6");
   cfg.manifest_path = tmp_path("pool_exit6.manifest");
   std::remove(cfg.manifest_path.c_str());
-  std::remove((cfg.manifest_path + ".timing.json").c_str());
   cfg.jobs = 2;
   harness::PointSpec parked;
   parked.name = "parked";
@@ -894,9 +845,7 @@ TEST(OrchestratorPool, ChildExitSixHaltsPoolWithoutRecordingIt) {
 TEST(OrchestratorPool, WidthOneDispatchesLongestFirst) {
   const std::string manifest = tmp_path("width_one.manifest");
   const std::string order = tmp_path("width_one.order");
-  for (const std::string& f : {manifest, manifest + ".timing.json", order}) {
-    std::remove(f.c_str());
-  }
+  for (const std::string& f : {manifest, order}) std::remove(f.c_str());
 
   // Each point appends its name to one shared file, so the file records the
   // order the children actually started in.
@@ -904,7 +853,7 @@ TEST(OrchestratorPool, WidthOneDispatchesLongestFirst) {
     harness::PointSpec p;
     p.name = name;
     p.cost_hint = cost;
-    p.body = [order, name] {
+    p.body = [order, name](const std::string&) {
       const int fd = ::open(order.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
       if (fd < 0 || ::write(fd, name.data(), name.size()) < 0) {
         throw std::runtime_error("cannot append to " + order);
@@ -919,15 +868,20 @@ TEST(OrchestratorPool, WidthOneDispatchesLongestFirst) {
   cfg.manifest_path = manifest;
   cfg.jobs = 1;
   harness::Orchestrator orch(cfg);
+  // "d" has no hint: it counts as 1, so it runs ahead of "a" (0.5) and ties
+  // with "e" (1.0), which the lower index breaks.
   const harness::SweepSummary s =
-      orch.run({appender("a", 1.0), appender("b", 3.0), appender("c", 2.0)});
+      orch.run({appender("a", 0.5), appender("b", 3.0), appender("c", 2.0),
+                appender("d", 0.0), appender("e", 1.0)});
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.jobs, 1u);
-  EXPECT_EQ(slurp(order), "bca");
+  EXPECT_EQ(slurp(order), "bcdea");
   // Completion order never reaches the manifest: records stay index-ordered.
   const std::vector<harness::PointRecord>& recs = orch.manifest().records();
-  ASSERT_EQ(recs.size(), 3u);
+  ASSERT_EQ(recs.size(), 5u);
   EXPECT_EQ(recs[0].name, "a");
   EXPECT_EQ(recs[1].name, "b");
   EXPECT_EQ(recs[2].name, "c");
+  EXPECT_EQ(recs[3].name, "d");
+  EXPECT_EQ(recs[4].name, "e");
 }

@@ -283,7 +283,7 @@ TEST(SoaCkpt, ResumeDuringQueueChurnIsByteIdentical) {
 // ------------------------------- sweep parity at every jobs width ---------
 
 // End-to-end: a sweep of *real* simulation points through the orchestrator's
-// process pool. The pool reorders completions (longest-expected-first
+// process pool. The pool reorders completions (longest-first
 // dispatch, nondeterministic reaping), so any storage-order leak the SoA
 // refactor introduced into results OR any completion-order leak into the
 // manifest would break the byte-parity contract here. Complements the
@@ -295,7 +295,7 @@ TEST(SoaSweepParity, ManifestAndReportBytesIdenticalAcrossJobs) {
       for (const char* scheme : {"FCFS", "ME-LREQ", "PAR-BS"}) {
         harness::PointSpec p;
         p.name = std::string(scheme) + "/" + wl;
-        p.body = [wl, scheme]() -> util::Json {
+        p.body = [wl, scheme](const std::string&) -> util::Json {
           const sim::Workload& w = sim::workload_by_name(wl);
           sim::SystemConfig cfg;
           cfg.cores = w.cores();
@@ -328,7 +328,6 @@ TEST(SoaSweepParity, ManifestAndReportBytesIdenticalAcrossJobs) {
     oc.jobs = widths[i];
     oc.verbose = false;
     std::remove(oc.manifest_path.c_str());
-    std::remove((oc.manifest_path + ".timing.json").c_str());
     harness::Orchestrator orch(oc);
     const harness::SweepSummary s = orch.run(make_points());
     ASSERT_TRUE(s.complete());
@@ -336,7 +335,6 @@ TEST(SoaSweepParity, ManifestAndReportBytesIdenticalAcrossJobs) {
     manifests[i] = slurp(oc.manifest_path);
     reports[i] = orch.report().dump(2);
     std::remove(oc.manifest_path.c_str());
-    std::remove((oc.manifest_path + ".timing.json").c_str());
   }
   EXPECT_EQ(manifests[0], manifests[1]);
   EXPECT_EQ(reports[0], reports[1]);

@@ -1,5 +1,5 @@
 // Unit tests for src/util: RNG, statistics, fixed-point, bitops, config,
-// atomic file replacement and retry backoff.
+// atomic file replacement.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "util/atomic_file.hpp"
-#include "util/backoff.hpp"
 #include "util/bitops.hpp"
 #include "util/config.hpp"
 #include "util/fixed_point.hpp"
@@ -639,35 +638,6 @@ TEST(AtomicFile, TwoInterleavedWritersNeverPublishTornBytes) {
   }
   EXPECT_EQ(leftovers, 0u);
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Retry backoff: the one schedule every harness retry loop shares. Pure
-// function of (base, cap, attempt) — exercised here under fake time.
-
-TEST(Backoff, ExponentialScheduleIsDeterministicAndCapped) {
-  const util::Backoff b{0.5, 60.0};
-  EXPECT_DOUBLE_EQ(b.delay_seconds(1), 0.5);
-  EXPECT_DOUBLE_EQ(b.delay_seconds(2), 1.0);
-  EXPECT_DOUBLE_EQ(b.delay_seconds(3), 2.0);
-  EXPECT_DOUBLE_EQ(b.delay_seconds(7), 32.0);
-  EXPECT_DOUBLE_EQ(b.delay_seconds(8), 60.0);   // 64 would overshoot the cap
-  EXPECT_DOUBLE_EQ(b.delay_seconds(200), 60.0); // stays capped forever
-
-  const util::Backoff disabled{0.0, 60.0};
-  for (std::uint32_t a = 0; a < 10; ++a) EXPECT_DOUBLE_EQ(disabled.delay_seconds(a), 0.0);
-}
-
-TEST(Backoff, ReadyAtAdvancesFakeTimeWithoutSleeping) {
-  const util::Backoff b{0.25, 60.0};
-  const util::MonotonicTime epoch{};  // fake clock: no host-time read at all
-  EXPECT_DOUBLE_EQ(util::seconds_between(epoch, b.ready_at(epoch, 1)), 0.25);
-  EXPECT_DOUBLE_EQ(util::seconds_between(epoch, b.ready_at(epoch, 3)), 1.0);
-  // Deterministic in `now`: shifting the failure instant shifts the deadline
-  // by exactly the same amount.
-  const util::MonotonicTime later = epoch + util::seconds_to_duration(5.0);
-  EXPECT_DOUBLE_EQ(util::seconds_between(b.ready_at(epoch, 2), b.ready_at(later, 2)),
-                   5.0);
 }
 
 // ---------------------------------------------------------------------------

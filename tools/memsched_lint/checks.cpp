@@ -97,7 +97,6 @@ const char kDetUnorderedIter[] = "det-unordered-iter";
 const char kDetPointerKey[] = "det-pointer-key";
 const char kDetBannedCall[] = "det-banned-call";
 const char kCkptSymmetry[] = "ckpt-symmetry";
-const char kCacheEntryFraming[] = "cache-entry-framing";
 const char kContractMain[] = "contract-guarded-main";
 const char kContractAssert[] = "contract-raw-assert";
 const char kContractConfigKey[] = "contract-config-key";
@@ -575,72 +574,6 @@ void check_ckpt_symmetry(const std::string& rel, const Sig& s,
 }
 
 // ---------------------------------------------------------------------------
-// cache-entry-framing
-//
-// Record codecs written as paired free functions named
-// encode_<kind>(Writer&, ...) / decode_<kind>(Reader&, ...). Same failure
-// mode as ckpt-symmetry — a writer/reader that disagree about the field
-// sequence corrupt silently — but the pairing key is the function-name
-// suffix rather than an owning class.
-
-void check_cache_entry_framing(const std::string& rel, const Sig& s,
-                               std::vector<Diagnostic>& out) {
-  std::vector<SerFunc> funcs;  // owner = <kind> suffix; is_save = encode side
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i]->kind != TokKind::kIdent || !is_punct(s, i + 1, "(")) continue;
-    const std::string& n = s[i]->text;
-    const bool enc = starts_with(n, "encode_");
-    const bool dec = starts_with(n, "decode_");
-    if ((!enc && !dec) || n.size() <= 7) continue;
-    const std::size_t close = match_bracket(s, i + 1);
-    if (close == s.size()) continue;
-    std::size_t k = close + 1;
-    while (k < s.size() && (is_ident(s, k, "const") || is_ident(s, k, "noexcept"))) ++k;
-    if (!is_punct(s, k, "{")) continue;  // declaration or call site, not a body
-    SerFunc f;
-    f.owner = n.substr(7);
-    f.is_save = enc;
-    f.line = s[i]->line;
-    extract_events(s, k, match_bracket(s, k), f);
-    funcs.push_back(std::move(f));
-    i = k;
-  }
-
-  std::vector<std::string> kinds;
-  for (const SerFunc& f : funcs) add_unique(kinds, f.owner);
-  for (const std::string& kind : kinds) {
-    const SerFunc* enc = nullptr;
-    const SerFunc* dec = nullptr;
-    for (const SerFunc& f : funcs) {
-      if (f.owner != kind) continue;
-      (f.is_save ? enc : dec) = &f;
-    }
-    if (enc == nullptr || dec == nullptr) continue;
-    const std::size_t n = std::min(enc->events.size(), dec->events.size());
-    bool diverged = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (enc->events[i].kind == dec->events[i].kind) continue;
-      std::ostringstream msg;
-      msg << "entry kind '" << kind << "': field sequence diverges at step " << i + 1
-          << " — encode_" << kind << " writes '" << enc->events[i].kind << "' (line "
-          << enc->events[i].line << ") but decode_" << kind << " reads '"
-          << dec->events[i].kind << "'; a stored entry would decode garbage";
-      out.push_back({kCacheEntryFraming, rel, dec->events[i].line, 1, msg.str()});
-      diverged = true;
-      break;
-    }
-    if (!diverged && enc->events.size() != dec->events.size()) {
-      std::ostringstream msg;
-      msg << "entry kind '" << kind << "': encode_" << kind << " writes "
-          << enc->events.size() << " field(s) (line " << enc->line << ") but decode_"
-          << kind << " reads " << dec->events.size()
-          << "; reader and writer disagree about the entry schema";
-      out.push_back({kCacheEntryFraming, rel, dec->line, 1, msg.str()});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // contract-guarded-main
 
 void check_guarded_main(const std::string& rel, const Sig& s,
@@ -854,9 +787,8 @@ void check_perf_hot_path(const std::string& rel, const Sig& s, const Decls& d,
 
 const std::vector<std::string>& all_checks() {
   static const std::vector<std::string> kAll = {
-      kCacheEntryFraming, kCkptSymmetry,  kContractConfigKey, kContractMain,
-      kContractAssert,    kDetBannedCall, kDetPointerKey,     kDetUnorderedIter,
-      kPerfHotPath};
+      kCkptSymmetry,   kContractConfigKey, kContractMain,     kContractAssert,
+      kDetBannedCall,  kDetPointerKey,     kDetUnorderedIter, kPerfHotPath};
   return kAll;
 }
 
@@ -898,7 +830,6 @@ std::vector<Diagnostic> run_checks(const std::string& rel_path,
     check_banned_call(rel_path, s, decls, out);
   }
   if (code_scope && on(kCkptSymmetry)) check_ckpt_symmetry(rel_path, s, out);
-  if (code_scope && on(kCacheEntryFraming)) check_cache_entry_framing(rel_path, s, out);
   if ((sc.in_tools || sc.in_bench || sc.in_examples) && on(kContractMain)) {
     check_guarded_main(rel_path, s, out);
   }

@@ -15,10 +15,6 @@
 //                        get_* kinds, section names, nested delegations)
 //                        must match, and every member written by save_state
 //                        must be mentioned by load_state
-//   cache-entry-framing  paired free functions encode_<kind> / decode_<kind>
-//                        (ckpt-framed record codecs) must frame the same
-//                        put_*/get_* field sequence; a divergence decodes
-//                        garbage from every stored entry
 //   contract-guarded-main main() in tools/, bench/ and examples/ must route
 //                        through harness::guarded_main so uncaught errors
 //                        keep the exit-code contract

@@ -16,6 +16,7 @@
 #include "ckpt/signal.hpp"
 #include "core/scheduler_factory.hpp"
 #include "harness/guarded_main.hpp"
+#include "harness/interleave.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/json_report.hpp"
@@ -58,10 +59,8 @@ sim::ExperimentConfig config_from(const util::Config& cli) {
   cfg.profile_insts = cli.get_uint("profile_insts", cfg.profile_insts);
   cfg.eval_seed = cli.get_uint("seed", cfg.eval_seed);
   cfg.profile_seed = cli.get_uint("profile_seed", cfg.profile_seed);
-  const std::string il = cli.get_string("interleave", "hybrid");
-  if (il == "line") cfg.base.interleave = dram::Interleave::kLineInterleave;
-  else if (il == "page") cfg.base.interleave = dram::Interleave::kPageInterleave;
-  else cfg.base.interleave = dram::Interleave::kHybrid;
+  cfg.base.interleave =
+      harness::interleave_from_string(cli.get_string("interleave", "hybrid"));
   cfg.base.bank_xor = cli.get_bool("bank_xor", false);
   cfg.base.engine = sim::engine_from_string(cli.get_string("engine", "skip"));
   if (cli.has("grade")) {

@@ -38,18 +38,29 @@ int usage() {
       "  grid     workloads=A,B,... schemes=S1,S2,... [insts=N] [repeats=N]\n"
       "           [warmup=N] [profile_insts=N] [seed=N] [profile_seed=N]\n"
       "           [interleave=hybrid|line|page] [engine=skip|cycle] [verify=0|1]\n"
-      "           [progress_window=N] [ckpt=0|1] [ckpt_interval=N]\n"
+      "           [progress_window=N] [ckpt_interval=N]\n"
       "           [fault=0|1] [fault.seed=N] [fault.drop_read=P] [fault.drop_write=P]\n"
       "           [fault.dup=P] [fault.delay=P] [fault.delay_max=N] [fault.stall=P]\n"
       "           [fault.stall_ticks=N] [fault.points=name1,name2,...]\n"
       "  benches  [bindir=build/bench]\n"
       "  common   [manifest=path] [report=path] [timeout=seconds] [attempts=N]\n"
-      "           [backoff=seconds] [strict=0|1] [quiet=0|1]\n"
-      "           [jobs=N | --jobs N]\n"
+      "           [strict=0|1] [quiet=0|1] [jobs=N | --jobs N]\n"
       "           jobs= = process-pool width; 0 (default) = auto: MEMSCHED_JOBS\n"
       "           env, else all cores. Reports are byte-identical at any width.\n"
       "           Re-running over the same manifest= replays its finished points.\n");
   throw std::invalid_argument("bad sweep command line");
+}
+
+/// A 32-bit count that does not fit is a usage error (exit 2), never a
+/// count truncated to something else.
+std::uint32_t checked_u32(const char* key, std::uint64_t value) {
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr, "%s=%llu is out of range (at most %u)\n", key,
+                 static_cast<unsigned long long>(value),
+                 std::numeric_limits<std::uint32_t>::max());
+    usage();
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
@@ -58,20 +69,12 @@ harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
   oc.manifest_path = cli.get_string("manifest", "");
   oc.fingerprint = fingerprint;
   oc.timeout_seconds = cli.get_double("timeout", 300.0);
-  oc.max_attempts = static_cast<std::uint32_t>(cli.get_uint("attempts", 1));
-  oc.backoff_seconds = cli.get_double("backoff", 0.0);
+  oc.max_attempts = checked_u32("attempts", cli.get_uint("attempts", 1));
   oc.verbose = !cli.get_bool("quiet", false);
   // jobs=0 = auto (MEMSCHED_JOBS env, else hardware_concurrency); the
   // orchestrator resolves it. Parallelism never enters the fingerprint:
   // the sweep's identity — and its output bytes — are the same at any width.
-  const std::uint64_t jobs = cli.get_uint("jobs", 0);
-  if (jobs > std::numeric_limits<std::uint32_t>::max()) {
-    std::fprintf(stderr, "jobs=%llu is out of range (at most %u)\n",
-                 static_cast<unsigned long long>(jobs),
-                 std::numeric_limits<std::uint32_t>::max());
-    usage();
-  }
-  oc.jobs = static_cast<std::uint32_t>(jobs);
+  oc.jobs = checked_u32("jobs", cli.get_uint("jobs", 0));
   oc.stop = &ckpt::stop_flag();
   return oc;
 }
@@ -111,8 +114,8 @@ int cmd_grid(const util::Config& cli) {
   // Grid-definition vocabulary lives in harness::grid_keys(); this front end
   // adds its orchestration keys on top.
   std::vector<std::string_view> known(harness::grid_keys());
-  for (const char* k : {"manifest", "report", "timeout", "attempts", "backoff",
-                        "strict", "quiet", "jobs"}) {
+  for (const char* k :
+       {"manifest", "report", "timeout", "attempts", "strict", "quiet", "jobs"}) {
     known.push_back(k);
   }
   if (const auto err = cli.check_known(known, {"fault."})) {
@@ -138,8 +141,7 @@ int cmd_grid(const util::Config& cli) {
 
 int cmd_benches(const util::Config& cli) {
   if (const auto err = cli.check_known({"bindir", "manifest", "report", "timeout",
-                                        "attempts", "backoff", "strict", "quiet",
-                                        "jobs"})) {
+                                        "attempts", "strict", "quiet", "jobs"})) {
     throw std::invalid_argument(*err);
   }
   const std::string bindir = cli.get_string("bindir", "build/bench");

@@ -24,6 +24,7 @@
 
 #include "dram/address_map.hpp"
 #include "harness/guarded_main.hpp"
+#include "harness/interleave.hpp"
 #include "trace/app_profile.hpp"
 #include "trace/generator.hpp"
 #include "trace/trace_file.hpp"
@@ -143,11 +144,9 @@ int cmd_analyze(const util::Config& cli) {
   const std::string in = cli.get_string("in", "");
   if (in.empty()) usage();
   const std::string il = cli.get_string("interleave", "hybrid");
-  dram::Interleave scheme = dram::Interleave::kHybrid;
-  if (il == "line") scheme = dram::Interleave::kLineInterleave;
-  if (il == "page") scheme = dram::Interleave::kPageInterleave;
   const dram::Organization org;
-  const dram::AddressMap map(org, scheme, cli.get_bool("bank_xor", false));
+  const dram::AddressMap map(org, harness::interleave_from_string(il),
+                             cli.get_bool("bank_xor", false));
 
   const auto recs = load_any(in);
   std::vector<std::uint64_t> per_channel(org.channels, 0);
